@@ -140,117 +140,63 @@ from repro.bench import (
 
 __version__ = "1.0.0"
 
-# Serving (repro.serve) and cluster (repro.cluster) layers — resolved
-# lazily via __getattr__ below so training-only users pay no import cost
-# for the deployment subsystems.
-_SERVE_EXPORTS = frozenset(
-    {
-        "BatchPolicy",
-        "MicroBatcher",
-        "FeatureCache",
-        "ConstantServiceModel",
-        "SimulatedServiceModel",
-        "ServingEngine",
-        "WorkerPool",
-        "PoissonArrivals",
-        "BurstArrivals",
-        "LoadTestHarness",
-        "LoadTestReport",
-        "ServingMetrics",
-        "ModelRegistry",
-        "ServableModel",
-        "run_serve_bench",
-    }
-)
-
-
-_CLUSTER_EXPORTS = frozenset(
-    {
-        "Autoscaler",
-        "AutoscalerConfig",
-        "ClusterLoadHarness",
-        "ClusterLoadReport",
-        "ClusterMetrics",
-        "ConsistentHashPolicy",
-        "HedgePolicy",
-        "LeastLoadedPolicy",
-        "Replica",
-        "ReplicaConfig",
-        "ReplicatedRegistry",
-        "RoundRobinPolicy",
-        "Router",
-        "SwapTicket",
-        "run_cluster_bench",
-    }
-)
-
-
-_SHARD_EXPORTS = frozenset(
-    {
-        "Partition",
-        "CrossBlock",
-        "ModelShard",
-        "partition_model",
-        "merge_shards",
-        "mask_streams",
-        "gather_outputs",
-        "shard_servables",
-        "save_shard_checkpoint",
-        "read_shard_checkpoint",
-        "ShardRouter",
-        "sharded_pretrain",
-        "run_shard_bench",
-    }
-)
-
-
-_WORKLOADS_EXPORTS = frozenset(
-    {
-        "Trace",
-        "TraceEvent",
-        "TraceReplayer",
-        "ReplayReport",
-        "SLOGate",
-        "trace_from_arrivals",
-        "generate_trace",
-    }
-)
+# The deployment tiers (serve, cluster, shard, workloads) and the
+# sharded trainer resolve lazily through __getattr__, so training-only
+# users pay no import cost for them.  name -> (module, attribute).
+_LAZY_EXPORTS = {
+    **{
+        name: ("repro.serve", name)
+        for name in (
+            "BatchPolicy", "MicroBatcher", "FeatureCache",
+            "ConstantServiceModel", "SimulatedServiceModel", "ServingEngine",
+            "WorkerPool", "PoissonArrivals", "BurstArrivals",
+            "LoadTestHarness", "LoadTestReport", "ServingMetrics",
+            "ModelRegistry", "ServableModel", "run_serve_bench",
+        )
+    },
+    **{
+        name: ("repro.cluster", name)
+        for name in (
+            "Autoscaler", "AutoscalerConfig", "ClusterLoadHarness",
+            "ClusterLoadReport", "ClusterMetrics", "ConsistentHashPolicy",
+            "HedgePolicy", "LeastLoadedPolicy", "Replica", "ReplicaConfig",
+            "ReplicatedRegistry", "RoundRobinPolicy", "Router", "SwapTicket",
+            "run_cluster_bench", "ShardRouter",
+        )
+    },
+    **{
+        name: ("repro.shard", name)
+        for name in (
+            "Partition", "CrossBlock", "ModelShard", "mask_streams",
+            "gather_outputs", "shard_servables", "save_shard_checkpoint",
+            "read_shard_checkpoint",
+        )
+    },
+    # partition/merge get explicit names at the top level: "partition"
+    # alone would read as a generic verb next to the training API.
+    "partition_model": ("repro.shard", "partition"),
+    "merge_shards": ("repro.shard", "merge"),
+    "sharded_pretrain": ("repro.core.sharded", "sharded_pretrain"),
+    "run_shard_bench": ("repro.bench.shardbench", "run_shard_bench"),
+    **{
+        name: ("repro.workloads", name)
+        for name in (
+            "Trace", "TraceEvent", "TraceReplayer", "ReplayReport", "SLOGate",
+            "trace_from_arrivals",
+        )
+    },
+    "generate_trace": ("repro.workloads", "generate"),  # not a generic name
+}
 
 
 def __getattr__(name: str):
-    if name in _SERVE_EXPORTS:
-        import repro.serve as _serve
+    if name in _LAZY_EXPORTS:
+        import importlib
 
-        return getattr(_serve, name)
-    if name in _CLUSTER_EXPORTS:
-        import repro.cluster as _cluster
-
-        return getattr(_cluster, name)
-    if name in _SHARD_EXPORTS:
-        if name == "ShardRouter":
-            from repro.cluster import ShardRouter
-
-            return ShardRouter
-        if name in ("sharded_pretrain", "run_shard_bench"):
-            import repro.bench.shardbench as _shardbench
-
-            return getattr(_shardbench, name)
-        import repro.shard as _shard
-
-        # partition/merge get explicit names at the top level: "partition"
-        # alone would read as a generic verb next to the training API.
-        if name == "partition_model":
-            return _shard.partition
-        if name == "merge_shards":
-            return _shard.merge
-        return getattr(_shard, name)
-    if name in _WORKLOADS_EXPORTS:
-        import repro.workloads as _workloads
-
-        if name == "generate_trace":  # avoid shadowing a generic name
-            return _workloads.generate
-        return getattr(_workloads, name)
+        module, attr = _LAZY_EXPORTS[name]
+        return getattr(importlib.import_module(module), attr)
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
+
 
 __all__ = [
     # errors

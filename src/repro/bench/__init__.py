@@ -6,6 +6,10 @@ workload definition in :mod:`repro.bench.workloads`, a driver in
 :mod:`repro.bench.harness` that emits the same rows/series the paper
 reports, and a text formatter in :mod:`repro.bench.report`.  The
 ``benchmarks/`` directory wraps these in pytest-benchmark entry points.
+
+The gated wall-clock and simulated-clock suites (``BENCH_*.json``)
+share one report / gate / baseline core, :mod:`repro.bench.suite`, and
+run through ``python -m repro bench <suite>``.
 """
 
 from repro.bench.workloads import (
@@ -41,21 +45,6 @@ from repro.bench.report import (
 from repro.bench.sweep import simulate_seconds, sweep
 from repro.bench.hotpath import run_hotpath_bench
 
-# The shard bench pulls in the serving + cluster tiers; keep it lazy so
-# `import repro` (which imports repro.bench eagerly) stays cluster-free.
-_SHARDBENCH_EXPORTS = ("run_shard_bench", "sharded_pretrain", "shardbench")
-
-
-def __getattr__(name):
-    if name in _SHARDBENCH_EXPORTS:
-        import importlib
-
-        module = importlib.import_module("repro.bench.shardbench")
-        if name == "shardbench":
-            return module
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "FIG7_NETWORKS",
     "FIG8_DATASET_SIZES",
@@ -84,7 +73,4 @@ __all__ = [
     "sweep",
     "simulate_seconds",
     "run_hotpath_bench",
-    "run_shard_bench",
-    "sharded_pretrain",
-    "shardbench",
 ]

@@ -39,7 +39,7 @@ Metadata records the concurrency regime of the measurement:
 ``gil_enabled``/``free_threaded`` (PEP 703 audit, see
 :mod:`repro.runtime.freethreading`) and ``blas_budget_active`` (whether
 BLAS pools were actually cappable — threadpoolctl loaded, or the env
-fallback pinned before NumPy import).  ``validate_report`` rejects a
+fallback pinned before NumPy import).  Validation rejects a
 report claiming threadpoolctl was importable but budgeting inactive.
 """
 
@@ -52,6 +52,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.bench.suite import (
+    COUNT,
+    HIGHER,
+    NUMBER,
+    POSITIVE,
+    Findings,
+    Suite,
+    check_equivalence,
+)
 from repro.errors import ConfigurationError
 
 SCHEMA_ID = "repro.bench_parallel/v3"
@@ -66,7 +75,7 @@ QUICK_SHAPES: Tuple[Tuple[int, int, int], ...] = ((128, 512, 256),)
 #: Equivalence gate: parallel reduction vs serial gradients (ISSUE 3).
 EQUIV_TOL = 1e-10
 
-#: Speedup floor enforced by the CI gate (W=2 and prefetch rows).
+#: Speedup floor of the gates (W=2 and prefetch rows).
 MIN_SPEEDUP = 1.3
 
 #: Engine backends measured by default (process is dropped with a
@@ -97,7 +106,7 @@ def blas_budget_active() -> bool:
 
     True when threadpoolctl is importable (limits apply to live pools) or
     when every BLAS env knob was pinned — which only bites if it happened
-    before NumPy loaded, as ``benchmarks/bench_parallel.py`` does.
+    before NumPy loaded, as :func:`measure_pinned` arranges.
     """
     from repro.runtime.threads import BLAS_ENV_VARS, HAVE_THREADPOOLCTL
 
@@ -315,104 +324,88 @@ def run_parallel_bench(
     }
 
 
-# ---------------------------------------------------------------------------
-# schema validation and gates
-# ---------------------------------------------------------------------------
+def run(quick: bool = False, seed: int = 0) -> Dict:
+    """The suite run: quick shape, or quick + paper shapes (the baseline's)."""
+    shapes = QUICK_SHAPES if quick else QUICK_SHAPES + PAPER_SHAPES
+    trials, inner = (5, 3) if quick else (8, 4)
+    return measure_pinned(
+        shapes=[list(s) for s in shapes], trials=trials, inner=inner,
+        n_chunks=8, seed=seed,
+    )
 
-def _row_key(row: Dict) -> Tuple:
-    keys = _WORKER_KEYS if row.get("kind") == "workers" else _PREFETCH_KEYS
-    return tuple(row.get(k) for k in keys)
 
+def measure_pinned(**kwargs) -> Dict:
+    """:func:`run_parallel_bench` with every BLAS pool pinned to one thread.
+
+    The env pin only binds before NumPy loads, so unless this process was
+    started with every BLAS knob set, the measurement runs in a fresh
+    child interpreter that is — on every host, threadpoolctl or not, so
+    the serial and prefetch rows always see the same BLAS as the baseline.
+    """
+    from repro.runtime.threads import BLAS_ENV_VARS
+
+    if all(var in os.environ for var in BLAS_ENV_VARS):
+        return run_parallel_bench(**kwargs)
+
+    import subprocess
+    import sys
+
+    import repro
+
+    env = dict(os.environ)
+    for var in BLAS_ENV_VARS:
+        env.setdefault(var, "1")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = (
+        "import json, sys; from repro.bench.parallel import measure_pinned; "
+        "json.dump(measure_pinned(**json.loads(sys.argv[1])), sys.stdout)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(kwargs)],
+        env=env, check=True, stdout=subprocess.PIPE,
+    )
+    return json.loads(out.stdout)
+
+
+# ---------------------------------------------------------------------------
+# schema, gates, baseline metric and display
+# ---------------------------------------------------------------------------
 
 def _gate_metric(row: Dict) -> Tuple[str, float]:
-    """Which ratio a worker row is gated (and baseline-compared) on."""
+    """Which ratio a row is gated (and baseline-compared) on."""
     if row.get("kind") == "workers" and row.get("engine") == "process":
         return "vs_serial", row["vs_serial"]
     return "speedup", row["speedup"]
 
 
-def validate_report(report: Dict) -> None:
-    """Raise :class:`ConfigurationError` unless ``report`` matches the schema."""
-    if not isinstance(report, dict):
-        raise ConfigurationError("parallel report must be a dict")
-    if report.get("schema") != SCHEMA_ID:
-        raise ConfigurationError(
-            f"parallel report schema must be {SCHEMA_ID!r}, "
-            f"got {report.get('schema')!r}"
-        )
-    if not (isinstance(report.get("n_cores"), int) and report["n_cores"] >= 1):
-        raise ConfigurationError("parallel report must record a positive 'n_cores'")
-    for flag in ("gil_enabled", "free_threaded", "blas_budget_active"):
-        if not isinstance(report.get(flag), bool):
-            raise ConfigurationError(
-                f"parallel report must record boolean {flag!r}"
-            )
+def _check(report: Dict) -> None:
     if report.get("have_threadpoolctl") and not report["blas_budget_active"]:
         raise ConfigurationError(
             "report claims threadpoolctl is available but BLAS budgeting "
             "inactive — the budget must be asserted when the tool is present"
         )
-    rows = report.get("rows")
-    if not isinstance(rows, list) or not rows:
-        raise ConfigurationError("parallel report must carry a non-empty 'rows' list")
-    tol = report.get("equiv_tol", EQUIV_TOL)
-    kinds = set()
     engines_seen = set()
-    for i, row in enumerate(rows):
-        kind = row.get("kind")
-        if kind not in ("workers", "prefetch"):
-            raise ConfigurationError(f"rows[{i}] has unknown kind {kind!r}")
-        kinds.add(kind)
-        if kind == "workers":
-            if row.get("engine") not in ENGINES:
+    for i, row in enumerate(report["rows"]):
+        if row["kind"] == "workers":
+            if row["engine"] not in ENGINES:
                 raise ConfigurationError(
-                    f"rows[{i}] has unknown engine {row.get('engine')!r}"
+                    f"rows[{i}] has unknown engine {row['engine']!r}"
                 )
             engines_seen.add(row["engine"])
-        required = (
-            _WORKER_KEYS + ("ms", "serial_ms", "speedup", "vs_serial", "max_abs_diff")
-            if kind == "workers"
-            else _PREFETCH_KEYS + ("serial_ms", "overlapped_ms", "speedup", "max_abs_diff")
-        )
-        for field in required:
-            if field not in row:
-                raise ConfigurationError(f"rows[{i}] missing field {field!r}")
-        if kind == "workers" and not isinstance(row.get("expected_scaling"), bool):
-            raise ConfigurationError(
-                f"rows[{i}] must record boolean 'expected_scaling' "
-                f"(n_cores >= n_workers at measurement time)"
-            )
-        timing_fields = (
-            ("ms", "serial_ms", "vs_serial")
-            if kind == "workers"
-            else ("serial_ms", "overlapped_ms")
-        )
-        for field in timing_fields + ("speedup",):
-            if not (isinstance(row[field], (int, float)) and row[field] > 0):
-                raise ConfigurationError(
-                    f"rows[{i}][{field!r}] must be a positive number"
-                )
-        if row["max_abs_diff"] > tol:
-            raise ConfigurationError(
-                f"rows[{i}] equivalence violated: max_abs_diff "
-                f"{row['max_abs_diff']:g} > {tol:g}"
-            )
-    if kinds != {"workers", "prefetch"}:
-        raise ConfigurationError(
-            f"parallel report must carry both row kinds, got {sorted(kinds)}"
-        )
     if "thread" not in engines_seen:
         raise ConfigurationError(
             "parallel report must carry thread-engine worker rows"
         )
+    check_equivalence(report, EQUIV_TOL)
 
 
-def enforce_gates(report: Dict, min_speedup: float = MIN_SPEEDUP) -> Tuple[List[str], List[str]]:
+def enforce_gates(report: Dict) -> Findings:
     """Apply the speedup floors; returns ``(failures, skipped_notes)``.
 
-    * prefetch rows must reach ``min_speedup`` on every machine (overlap
-      with a sleeping loader does not need a second core);
-    * ``n_workers >= 2`` rows must reach ``min_speedup`` only when tagged
+    * prefetch rows must reach :data:`MIN_SPEEDUP` on every machine
+      (overlap with a sleeping loader does not need a second core);
+    * ``n_workers >= 2`` rows must reach it only when tagged
       ``expected_scaling`` (measured with at least one core per worker) —
       other rows are recorded but the gate is reported as skipped, never
       silently dropped.  Thread rows gate on ``speedup`` (vs the same
@@ -420,7 +413,6 @@ def enforce_gates(report: Dict, min_speedup: float = MIN_SPEEDUP) -> Tuple[List[
       engine must beat the engine-free serial step, the claim this
       backend exists to make).
     """
-    validate_report(report)
     failures: List[str] = []
     skipped: List[str] = []
     for row in report["rows"]:
@@ -439,74 +431,58 @@ def enforce_gates(report: Dict, min_speedup: float = MIN_SPEEDUP) -> Tuple[List[
                     f"{report['n_cores']} core(s) < {row['n_workers']} "
                     f"workers)"
                 )
-            elif value < min_speedup:
+            elif value < MIN_SPEEDUP:
                 failures.append(
                     f"{label}: {metric} {value:.2f}x < required "
-                    f"{min_speedup:.2f}x"
+                    f"{MIN_SPEEDUP:.2f}x"
                 )
-        else:
-            if row["speedup"] < min_speedup:
-                failures.append(
-                    f"prefetch ({row['n_chunks']} chunks, "
-                    f"{row['n_buffers']} buffers): speedup "
-                    f"{row['speedup']:.2f}x < required {min_speedup:.2f}x"
-                )
-    return failures, skipped
-
-
-def compare_to_baseline(
-    report: Dict, baseline: Dict, max_regression: float = 0.25
-) -> Tuple[List[str], List[str]]:
-    """Flag rows whose gated ratio regressed vs the committed baseline.
-
-    Returns ``(failures, skipped_notes)``.  A worker row is only compared
-    when **both** the current and the baseline row are tagged
-    ``expected_scaling`` (an under-cored measurement's ratios hover
-    around 1.0 and carry no regression signal) — skipped rows are
-    reported with a note naming which side lacked scaling, never dropped
-    silently.  Prefetch rows are always compared.  Each row is compared
-    on the same metric its gate uses (:func:`_gate_metric`).
-    """
-    validate_report(report)
-    validate_report(baseline)
-    base_by_key = {_row_key(row): row for row in baseline["rows"]}
-    failures: List[str] = []
-    skipped: List[str] = []
-    for row in report["rows"]:
-        base = base_by_key.get(_row_key(row))
-        if base is None:
-            continue  # new shape/engine, nothing to regress against
-        metric, value = _gate_metric(row)
-        label = f"{row['kind']} {_row_key(row)[1:]}"
-        if row["kind"] == "workers" and not (
-            row["expected_scaling"] and base["expected_scaling"]
-        ):
-            source = "report" if not row["expected_scaling"] else "baseline"
-            skipped.append(
-                f"{label}: baseline comparison skipped — {source} row "
-                f"tagged expected_scaling=false (measured on fewer cores "
-                f"than workers)"
-            )
-            continue
-        floor = base[metric] * (1.0 - max_regression)
-        if value < floor:
+        elif row["speedup"] < MIN_SPEEDUP:
             failures.append(
-                f"{label}: {metric} "
-                f"{value:.2f}x < floor {floor:.2f}x "
-                f"(baseline {base[metric]:.2f}x, allowed regression "
-                f"{max_regression:.0%})"
+                f"prefetch ({row['n_chunks']} chunks, "
+                f"{row['n_buffers']} buffers): speedup "
+                f"{row['speedup']:.2f}x < required {MIN_SPEEDUP:.2f}x"
             )
     return failures, skipped
 
 
-def load_report(path: str) -> Dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _display(row: Dict) -> str:
+    if row["kind"] == "workers":
+        label = (
+            f"sae {row['engine']} W={row['n_workers']} "
+            f"({row['batch']},{row['n_visible']}->{row['n_hidden']})"
+        )
+        ms, vs_serial = row["ms"], f"{row['vs_serial']:>8.2f}x"
+    else:
+        label = f"prefetch {row['n_chunks']}x chunks ({row['n_buffers']} buffers)"
+        ms, vs_serial = row["overlapped_ms"], f"{'-':>9}"
+    return (
+        f"{label:<42} {ms:>9.1f} ms {row['speedup']:>7.2f}x "
+        f"vs serial {vs_serial} max|diff| {row['max_abs_diff']:.1e}"
+    )
 
 
-def write_report(report: Dict, path: str) -> str:
-    validate_report(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return path
+SUITE = Suite(
+    name="parallel",
+    schema=SCHEMA_ID,
+    run=run,
+    meta={"n_cores": COUNT, "gil_enabled": bool, "free_threaded": bool,
+          "blas_budget_active": bool},
+    fields={
+        "workers": {
+            **dict.fromkeys(_WORKER_KEYS),
+            "ms": POSITIVE, "serial_ms": POSITIVE, "speedup": POSITIVE,
+            "vs_serial": POSITIVE, "max_abs_diff": NUMBER,
+            "expected_scaling": bool,
+        },
+        "prefetch": {
+            **dict.fromkeys(_PREFETCH_KEYS),
+            "serial_ms": POSITIVE, "overlapped_ms": POSITIVE,
+            "speedup": POSITIVE, "max_abs_diff": NUMBER,
+        },
+    },
+    keys={"workers": _WORKER_KEYS[1:], "prefetch": _PREFETCH_KEYS[1:]},
+    metrics=lambda row: ((_gate_metric(row)[0], HIGHER),),
+    gates=enforce_gates,
+    check=_check,
+    display=_display,
+)

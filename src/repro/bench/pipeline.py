@@ -20,27 +20,24 @@ Two row kinds, matching the two claims of Santara et al. (arXiv:1603.02836):
   train on the evolving representation and may differ, but not by much.
   These rows gate on every machine — convergence does not need cores.
 
-``repro pipeline-bench`` renders the committed ``BENCH_pipeline.json``;
-``benchmarks/bench_pipeline.py`` regenerates it and applies the gates.
+``python -m repro bench pipeline`` runs it, applies the gates and
+compares against (or regenerates) the committed ``BENCH_pipeline.json``.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.bench.suite import COUNT, HIGHER, NUMBER, POSITIVE, Findings, Suite
 from repro.errors import ConfigurationError
 
 SCHEMA_ID = "repro.bench_pipeline/v1"
 
 #: Wall-clock floor enforced on >= 2-core machines (ISSUE 8).
 MIN_SPEEDUP = 1.3
-
-#: Allowed speedup regression vs the committed baseline in CI.
-MAX_REGRESSION = 0.25
 
 #: Relative tolerance on each layer's final reconstruction error,
 #: pipelined vs greedy.  Upper layers legitimately differ (they train on
@@ -56,7 +53,6 @@ PAPER_SHAPE = dict(n=2048, n_visible=512, layers=(384, 512), epochs=8, batch=128
 
 _WALLTIME_KEYS = ("kind", "model", "sync", "n_examples", "n_visible",
                   "layers", "epochs", "batch")
-_CONV_KEYS = ("kind", "layer")
 
 
 def _specs(shape: Dict):
@@ -82,16 +78,21 @@ def _pretrain_s(shape: Dict, x: np.ndarray, seed: int, trials: int, **kwargs):
 
 
 def run_pipeline_bench(
-    quick: bool = True,
+    quick: bool = False,
     seed: int = 0,
-    trials: int = 2,
-    tol: float = CONV_TOL,
+    trials: Optional[int] = None,
     shape: Optional[Dict] = None,
 ) -> Dict:
-    """Run both strategies end-to-end and return the versioned report."""
+    """Run both strategies end-to-end and return the versioned report.
+
+    Wall times are the min of ``trials`` runs: one on the quick shape,
+    two on the paper shape by default.
+    """
     from repro.runtime.freethreading import free_threaded_build, gil_enabled
     from repro.runtime.threads import available_cores
 
+    if trials is None:
+        trials = 1 if quick else 2
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     if shape is None:
@@ -136,8 +137,8 @@ def run_pipeline_bench(
                 "greedy_loss": round(g, 6),
                 "pipelined_loss": round(p, 6),
                 "rel_diff": round(rel, 6),
-                "tol": tol,
-                "within_tol": rel <= tol,
+                "tol": CONV_TOL,
+                "within_tol": rel <= CONV_TOL,
             }
         )
     return {
@@ -153,74 +154,17 @@ def run_pipeline_bench(
 
 
 # ---------------------------------------------------------------------------
-# schema validation and gates
+# schema, gates and display
 # ---------------------------------------------------------------------------
 
-def _row_key(row: Dict) -> Tuple:
-    keys = _WALLTIME_KEYS if row.get("kind") == "walltime" else _CONV_KEYS
-    return tuple(
-        tuple(row.get(k)) if isinstance(row.get(k), list) else row.get(k)
-        for k in keys
-    )
-
-
-def validate_report(report: Dict) -> None:
-    """Raise :class:`ConfigurationError` unless ``report`` matches the schema."""
-    if not isinstance(report, dict):
-        raise ConfigurationError("pipeline report must be a dict")
-    if report.get("schema") != SCHEMA_ID:
-        raise ConfigurationError(
-            f"pipeline report schema must be {SCHEMA_ID!r}, "
-            f"got {report.get('schema')!r}"
-        )
-    if not (isinstance(report.get("n_cores"), int) and report["n_cores"] >= 1):
-        raise ConfigurationError("pipeline report must record a positive 'n_cores'")
-    rows = report.get("rows")
-    if not isinstance(rows, list) or not rows:
-        raise ConfigurationError("pipeline report must carry a non-empty 'rows' list")
-    kinds = set()
-    for i, row in enumerate(rows):
-        kind = row.get("kind")
-        if kind not in ("walltime", "convergence"):
-            raise ConfigurationError(f"rows[{i}] has unknown kind {kind!r}")
-        kinds.add(kind)
-        if kind == "walltime":
-            for field in ("greedy_s", "pipelined_s", "speedup"):
-                if not (isinstance(row.get(field), (int, float)) and row[field] > 0):
-                    raise ConfigurationError(
-                        f"rows[{i}][{field!r}] must be a positive number"
-                    )
-            if not isinstance(row.get("expected_scaling"), bool):
-                raise ConfigurationError(
-                    f"rows[{i}] must record boolean 'expected_scaling'"
-                )
-        else:
-            for field in ("greedy_loss", "pipelined_loss", "rel_diff", "tol"):
-                if not isinstance(row.get(field), (int, float)):
-                    raise ConfigurationError(
-                        f"rows[{i}][{field!r}] must be a number"
-                    )
-            if not isinstance(row.get("within_tol"), bool):
-                raise ConfigurationError(
-                    f"rows[{i}] must record boolean 'within_tol'"
-                )
-    if kinds != {"walltime", "convergence"}:
-        raise ConfigurationError(
-            f"pipeline report must carry both row kinds, got {sorted(kinds)}"
-        )
-
-
-def enforce_gates(
-    report: Dict, min_speedup: float = MIN_SPEEDUP
-) -> Tuple[List[str], List[str]]:
+def enforce_gates(report: Dict) -> Findings:
     """Apply the floors; returns ``(failures, skipped_notes)``.
 
-    * walltime rows must reach ``min_speedup`` when ``expected_scaling``
-      is true; on a single-core measurement the gate is reported as
-      explicitly skipped, never silently passed;
+    * walltime rows must reach :data:`MIN_SPEEDUP` when
+      ``expected_scaling`` is true; on a single-core measurement the gate
+      is reported as explicitly skipped, never silently passed;
     * convergence rows gate everywhere: ``within_tol`` must hold.
     """
-    validate_report(report)
     failures: List[str] = []
     skipped: List[str] = []
     for row in report["rows"]:
@@ -234,70 +178,63 @@ def enforce_gates(
                     f"{label}: speedup gate skipped — measured on "
                     f"{report['n_cores']} core(s); stage overlap needs >= 2"
                 )
-            elif row["speedup"] < min_speedup:
+            elif row["speedup"] < MIN_SPEEDUP:
                 failures.append(
                     f"{label}: speedup {row['speedup']:.2f}x < required "
-                    f"{min_speedup:.2f}x (ideal {row.get('ideal_speedup')}x)"
+                    f"{MIN_SPEEDUP:.2f}x (ideal {row.get('ideal_speedup')}x)"
                 )
-        else:
-            if not row["within_tol"]:
-                failures.append(
-                    f"convergence layer {row['layer']}: pipelined loss "
-                    f"{row['pipelined_loss']:.6f} vs greedy "
-                    f"{row['greedy_loss']:.6f} — rel diff "
-                    f"{row['rel_diff']:.4f} > tol {row['tol']:.4f}"
-                )
-    return failures, skipped
-
-
-def compare_to_baseline(
-    report: Dict, baseline: Dict, max_regression: float = MAX_REGRESSION
-) -> Tuple[List[str], List[str]]:
-    """Flag walltime speedups that regressed vs the committed baseline.
-
-    Returns ``(failures, skipped_notes)``.  A walltime row is only
-    compared when **both** reports carry ``expected_scaling`` (single-core
-    ratios hover around 1.0 and carry no signal) — skipped rows are
-    reported, never dropped silently.  Convergence rows are gated
-    absolutely by :func:`enforce_gates`, so they are not re-compared here.
-    """
-    validate_report(report)
-    validate_report(baseline)
-    base_by_key = {_row_key(r): r for r in baseline["rows"]}
-    failures: List[str] = []
-    skipped: List[str] = []
-    for row in report["rows"]:
-        if row["kind"] != "walltime":
-            continue
-        base = base_by_key.get(_row_key(row))
-        if base is None:
-            continue  # new shape, nothing to regress against
-        label = f"walltime ({row['n_examples']}x{row['n_visible']})"
-        if not (row["expected_scaling"] and base["expected_scaling"]):
-            source = "report" if not row["expected_scaling"] else "baseline"
-            skipped.append(
-                f"{label}: baseline comparison skipped — {source} was "
-                f"measured without expected scaling (single-core)"
-            )
-            continue
-        floor = base["speedup"] * (1.0 - max_regression)
-        if row["speedup"] < floor:
+        elif not row["within_tol"]:
             failures.append(
-                f"{label}: speedup {row['speedup']:.2f}x < floor "
-                f"{floor:.2f}x (baseline {base['speedup']:.2f}x, allowed "
-                f"regression {max_regression:.0%})"
+                f"convergence layer {row['layer']}: pipelined loss "
+                f"{row['pipelined_loss']:.6f} vs greedy "
+                f"{row['greedy_loss']:.6f} — rel diff "
+                f"{row['rel_diff']:.4f} > tol {row['tol']:.4f}"
             )
     return failures, skipped
 
 
-def load_report(path: str) -> Dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _display(row: Dict) -> str:
+    if row["kind"] == "walltime":
+        label = (
+            f"walltime {row['n_examples']}x{row['n_visible']} "
+            f"layers={row['layers']} E={row['epochs']}"
+        )
+        return (
+            f"{label:<46} greedy {row['greedy_s']:>6.2f}s pipelined "
+            f"{row['pipelined_s']:>6.2f}s {row['speedup']:>5.2f}x  "
+            f"(ideal {row['ideal_speedup']:.2f}x, scaling expected: "
+            f"{row['expected_scaling']})"
+        )
+    label = f"convergence layer {row['layer']}"
+    return (
+        f"{label:<46} greedy {row['greedy_loss']:>7.4f} pipelined "
+        f"{row['pipelined_loss']:>7.4f} rel {row['rel_diff']:.4f}  "
+        f"(tol {row['tol']:.2f}, within: {row['within_tol']})"
+    )
 
 
-def write_report(report: Dict, path: str) -> str:
-    validate_report(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return path
+SUITE = Suite(
+    name="pipeline",
+    schema=SCHEMA_ID,
+    run=run_pipeline_bench,
+    meta={"n_cores": COUNT},
+    fields={
+        "walltime": {
+            **dict.fromkeys(_WALLTIME_KEYS),
+            "greedy_s": POSITIVE, "pipelined_s": POSITIVE, "speedup": POSITIVE,
+            "expected_scaling": bool,
+        },
+        "convergence": {
+            "layer": None, "greedy_loss": NUMBER, "pipelined_loss": NUMBER,
+            "rel_diff": NUMBER, "tol": NUMBER, "within_tol": bool,
+        },
+    },
+    # Convergence rows are gated absolutely, so only the walltime
+    # speedup is fenced against the baseline.
+    keys={"walltime": _WALLTIME_KEYS[1:]},
+    metrics=lambda row: (
+        (("speedup", HIGHER),) if row["kind"] == "walltime" else ()
+    ),
+    gates=enforce_gates,
+    display=_display,
+)

@@ -1,30 +1,14 @@
-"""Sharded pre-training driver and the ``shard-bench`` artefact.
+"""The ``shard`` bench suite: model-parallel drills with hard gates.
 
-Two halves:
-
-* :func:`sharded_pretrain` — the model-parallel counterpart of
-  :meth:`repro.nn.stacked._GreedyStack.pretrain`.  Each greedy block is
-  initialised *full-width* from the same RNG draws the unsharded run
-  would consume, split into per-shard diagonal sub-blocks plus
-  decay-only :class:`~repro.shard.shards.CrossBlock`\\ s, and trained in
-  lockstep through one :class:`~repro.train.ShardedTrainStep` riding the
-  ordinary :class:`~repro.train.TrainLoop` (serial or parallel-engine).
-  Every ``exchange_every`` updates the bounded exchange fires behind the
-  ``shard.exchange`` fault site: dropout masks are resampled from the
-  per-shard streams and the replicated first-block bias is re-synced
-  from shard 0.  Checkpoints are epoch-granular
-  (:func:`repro.shard.save_shard_checkpoint`) and carry every RNG/mask
-  stream position, so a killed run resumes **bit-identically**.
-
-* :func:`run_shard_bench` — the committed ``BENCH_shard.json``: parity
-  rows proving the sharded forward pass and one training step match the
-  dropout-masked full-model oracle to ≤ 1e-10 for N ∈ {1, 2, 4} across
-  all three model families, a sharded-pre-training resume drill, an
-  N=2 scatter-gather serving run that must hold the single-replica
-  whole-model p99, and a shard-kill drill that must degrade (never
-  fail).  :func:`enforce_gates` / :func:`compare_to_baseline` give CI
-  hard gates plus a 25 % regression fence, mirroring
-  :mod:`repro.cluster.benchrun`.
+:func:`run_shard_bench` builds the committed ``BENCH_shard.json``:
+parity rows proving the sharded forward pass and one training step
+match the dropout-masked full-model oracle to ≤ 1e-10 for
+N ∈ {1, 2, 4} across all three model families, a sharded-pre-training
+resume drill (:func:`repro.core.sharded.sharded_pretrain`), an N=2
+scatter-gather serving run that must hold the single-replica
+whole-model p99, and a shard-kill drill that must degrade (never fail).
+:data:`SUITE` adds the hard gates and a 25 % regression fence on the
+serving row.
 
 The parity oracle is deliberately *not* the unmasked full model: a
 shard's lower layers are masked too, so the sharded answer is the
@@ -35,55 +19,29 @@ contract the partitioner guarantees, and what these gates pin.
 
 from __future__ import annotations
 
-import json
 import tempfile
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.bench.suite import HIGHER, LOWER, Findings, Suite
 from repro.cluster.benchrun import drill_replica_config, replica_capacity_rps
 from repro.cluster.loadtest import ClusterLoadHarness
 from repro.cluster.router import NO_HEDGING, LeastLoadedPolicy, Router
 from repro.cluster.shardrouter import ShardRouter
-from repro.errors import ConfigurationError
+from repro.core.sharded import model_params, sharded_pretrain
 from repro.nn.autoencoder import SparseAutoencoder
 from repro.nn.mlp import DeepNetwork, one_hot
 from repro.nn.rbm import RBM
 from repro.nn.stacked import DeepBeliefNetwork, LayerSpec, StackedAutoencoder
-from repro.runtime.checkpoint import (
-    CheckpointError,
-    CheckpointStore,
-    as_store,
-    capture_rng,
-    restore_rng_into,
-)
+from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.workspace import Workspace
 from repro.serve.registry import ServableModel
-from repro.shard.checkpoint import (
-    load_shard_state,
-    read_shard_checkpoint,
-    save_shard_checkpoint,
-)
-from repro.shard.masks import mask_streams, resample_masks
 from repro.shard.partition import Partition
 from repro.shard.servables import gather_outputs
-from repro.shard.shards import (
-    KIND_DBN,
-    KIND_SAE,
-    ModelShard,
-    _make_sub_stack,
-    _stack_meta,
-    merge,
-    partition,
-    partition_rbm_block,
-    partition_sae_block,
-)
+from repro.shard.shards import merge, partition, partition_rbm_block, partition_sae_block
 from repro.testing.faults import FaultPlan, inject
 from repro.train.batches import batch_bounds
-from repro.train.loop import EVENT_LOG_KEY, EventLog, TrainLoop
-from repro.train.shardstep import ShardedTrainStep
-from repro.utils.rng import spawn_generators
-from repro.utils.validation import check_matrix_shapes
 from repro.workloads.arrivals import PoissonArrivals
 
 SCHEMA = "shard-bench/v1"
@@ -93,251 +51,6 @@ SHARD_COUNTS = (1, 2, 4)
 
 #: hard ceiling on every parity / resume difference
 PARITY_TOL = 1e-10
-
-
-# ---------------------------------------------------------------------------
-# the sharded greedy cascade
-# ---------------------------------------------------------------------------
-
-def _stack_kind(stack) -> str:
-    if isinstance(stack, StackedAutoencoder):
-        return KIND_SAE
-    if isinstance(stack, DeepBeliefNetwork):
-        return KIND_DBN
-    raise ConfigurationError(
-        f"sharded_pretrain expects a StackedAutoencoder or DeepBeliefNetwork, "
-        f"got {type(stack).__name__}"
-    )
-
-
-def _append_block(stack, shards: List[ModelShard], part: Partition,
-                  index: int, kind: str, rng) -> None:
-    """Initialise block ``index`` full-width and scatter it onto the shards.
-
-    Creating the *full* block from the cascade's own RNG stream keeps the
-    shard initialisation bit-identical to partitioning an unsharded run —
-    and makes resume-time structure recreation deterministic.
-    """
-    n_in = part.layer_sizes[index]
-    full = stack._make_block(n_in, stack.layer_specs[index], rng)
-    for shard in shards:
-        if kind == KIND_SAE:
-            sub_block, cbs = partition_sae_block(full, part, index + 1, shard.index)
-        else:
-            sub_block, cbs = partition_rbm_block(full, part, index + 1, shard.index)
-        shard.model.blocks.append(sub_block)
-        shard.cross.extend(cbs)
-
-
-def _sync_replicated_bias(shards: Sequence[ModelShard], kind: str) -> None:
-    """Re-copy shard 0's replicated first-block bias onto every shard.
-
-    Only the first block's visible side is unpartitioned, so only its
-    bias (`SAE b2` / RBM visible ``b``) exists as a full copy per shard
-    and drifts between exchanges.
-    """
-    if not shards[0].model.blocks:
-        return
-    name = "b2" if kind == KIND_SAE else "b"
-    source = getattr(shards[0].model.blocks[0], name)
-    for shard in shards[1:]:
-        np.copyto(getattr(shard.model.blocks[0], name), source)
-
-
-def sharded_pretrain(
-    stack,
-    x: np.ndarray,
-    n_shards: int,
-    *,
-    engine=None,
-    checkpoint=None,
-    resume_from=None,
-    dropout: float = 0.0,
-    exchange_every: int = 0,
-    mask_seed=0,
-    callbacks=None,
-    callback=None,
-) -> List[ModelShard]:
-    """Greedy layer-wise pre-training with the stack split into shards.
-
-    ``stack`` is an *untrained* template (its hyper-parameters and seed
-    define the run); on return it holds the merged full-width blocks
-    (``stack.is_trained``) and the function returns the trained
-    :class:`~repro.shard.shards.ModelShard` list.
-
-    Each block is initialised full-width from the same per-block RNG
-    stream the unsharded cascade uses, partitioned, and the per-shard
-    diagonal sub-blocks train through one
-    :class:`~repro.train.ShardedTrainStep` (all shards see the same
-    shuffle); cross-shard weights receive their exact decay-only update
-    after every apply.  ``exchange_every`` > 0 enables the bounded
-    periodic exchange (mask resample from the per-shard ``mask_seed``
-    streams + replicated-bias re-sync) behind the ``shard.exchange``
-    fault site.
-
-    ``checkpoint`` / ``resume_from`` follow the unsharded
-    :meth:`~repro.nn.stacked._GreedyStack.pretrain` contract: snapshots
-    are epoch-granular, headers are shard-count-tagged, and a resumed
-    run is bit-identical at the same seed, shard count, execution mode
-    and worker count (all validated).
-    """
-    kind = _stack_kind(stack)
-    if stack.blocks:
-        raise ConfigurationError(
-            "stack already holds trained blocks; sharded_pretrain starts "
-            "from scratch (partition() an already-trained stack instead)"
-        )
-    x = check_matrix_shapes(x, stack.n_visible, "x")
-    sizes = stack.layer_sizes
-    part = Partition(sizes, n_shards, partitioned=range(1, len(sizes)))
-    meta = _stack_meta(stack, kind)
-    n_layers = len(stack.layer_specs)
-    rngs = spawn_generators(stack._seed, 2 * n_layers)
-    streams = mask_streams(mask_seed, n_shards)
-    store = as_store(checkpoint)
-    loop = TrainLoop(engine=engine, callbacks=callbacks)
-
-    shards: List[ModelShard] = [
-        ModelShard(k, part, kind, _make_sub_stack(stack, part, k, kind), [], meta)
-        for k in range(n_shards)
-    ]
-    masks: Dict[int, List[np.ndarray]] = {}
-    layer_errors: List[List[float]] = []
-    start_block, start_epoch, current_errors = 0, 0, []
-
-    if resume_from is not None:
-        header, arrays = read_shard_checkpoint(
-            resume_from, family=kind, partition=part, model_meta=meta
-        )
-        start_block = int(header["block_index"])
-        start_epoch = int(header["epochs_done"])
-        current_errors = [float(e) for e in header["current_errors"]]
-        layer_errors = [list(e) for e in header["layer_errors"]]
-        # Recreate the shard structures exactly as the original run did
-        # (full-width init, then partition), then overwrite the bytes.
-        for j in range(start_block + 1):
-            _append_block(stack, shards, part, j, kind, rngs[2 * j])
-        load_shard_state(shards, arrays)
-        states = header["rng_states"]
-        if len(states) != len(rngs):
-            raise CheckpointError(
-                f"checkpoint carries {len(states)} RNG streams, "
-                f"expected {len(rngs)}"
-            )
-        for gen, state in zip(rngs, states):
-            restore_rng_into(gen, state)
-        for gen, state in zip(streams, header["mask_streams"]):
-            restore_rng_into(gen, state)
-        engine_meta = header.get("engine")
-        if (engine_meta is None) != (engine is None):
-            raise CheckpointError(
-                "resume must use the same execution mode as the "
-                "checkpointed run (parallel engine vs serial)"
-            )
-        if engine is not None:
-            if engine_meta["n_workers"] != engine.n_workers:
-                raise CheckpointError(
-                    f"checkpoint was taken at n_workers="
-                    f"{engine_meta['n_workers']} but the engine has "
-                    f"{engine.n_workers}; bit-identical resume requires "
-                    f"the same worker count"
-                )
-            engine.restore_rng_streams(engine_meta["streams"])
-        loop.resume_from_log(EventLog.from_array(arrays.get(EVENT_LOG_KEY)))
-
-    # Per-shard inputs are pure functions of the completed sub-blocks.
-    currents: List[np.ndarray] = [x] * n_shards
-    for j in range(start_block):
-        currents = [
-            shard.model._block_transform(shard.model.blocks[j], cur)
-            for shard, cur in zip(shards, currents)
-        ]
-
-    for i in range(start_block, n_layers):
-        spec = stack.layer_specs[i]
-        resumed_here = i == start_block and len(shards[0].model.blocks) > i
-        if resumed_here:
-            errors = current_errors
-        else:
-            _append_block(stack, shards, part, i, kind, rngs[2 * i])
-            errors = []
-        steps = []
-        for k, shard in enumerate(shards):
-            sub = shard.model
-            ws = Workspace(name=f"shard{k}-{stack._ckpt_kind}-block{i}")
-            steps.append(
-                sub._block_step(
-                    sub.blocks[i], currents[k], sub.layer_specs[i],
-                    rngs[2 * i + 1], ws,
-                )
-            )
-        after = [
-            (lambda s=shard, _lr=spec.learning_rate, _i=i:
-                s.apply_cross_decay(_lr, block_index=_i))
-            for shard in shards
-        ]
-
-        def exchange(update: int, _i: int = i) -> None:
-            for k, stream in enumerate(streams):
-                masks[k] = resample_masks(
-                    stream, [part.width(_i + 1, k)], dropout
-                )
-            _sync_replicated_bias(shards, kind)
-
-        step = ShardedTrainStep(
-            steps,
-            exchange=exchange if exchange_every > 0 else None,
-            exchange_every=exchange_every,
-            after_apply=after,
-        )
-        if resumed_here and exchange_every > 0:
-            # The uninterrupted run's counters carry across epochs within
-            # a block; re-seed them so exchange timing stays identical.
-            n_batches = len(batch_bounds(steps[0].n_examples(), spec.batch_size))
-            step.updates_applied = start_epoch * n_batches
-            step.exchanges = step.updates_applied // exchange_every
-
-        epoch_end = None
-        if store is not None:
-            def epoch_end(done, metrics, _i=i):
-                save_shard_checkpoint(
-                    store, shards,
-                    block_index=_i,
-                    epochs_done=done,
-                    rng_states=[capture_rng(g) for g in rngs],
-                    mask_states=[capture_rng(g) for g in streams],
-                    current_errors=metrics,
-                    layer_errors=layer_errors,
-                    engine=None if engine is None else {
-                        "n_workers": engine.n_workers,
-                        "streams": engine.capture_rng_streams(),
-                    },
-                    extra_arrays={EVENT_LOG_KEY: loop.log.to_array()},
-                    tag=f"block{_i}-epoch{done}",
-                )
-
-        loop.run_epochs(
-            step,
-            epochs=spec.epochs,
-            batch_size=spec.batch_size,
-            rng=rngs[2 * i + 1],
-            start_epoch=start_epoch if i == start_block else 0,
-            metrics=errors,
-            epoch_end=epoch_end,
-        )
-        layer_errors.append(errors)
-        loop.end_layer(i, errors[-1] if errors else float("nan"))
-        if callback is not None:
-            callback(i, [s.model.blocks[i] for s in shards], errors)
-        currents = [
-            shard.model._block_transform(shard.model.blocks[i], cur)
-            for shard, cur in zip(shards, currents)
-        ]
-
-    merged = merge(shards)
-    stack.blocks = merged.blocks
-    stack.layer_errors = [list(e) for e in layer_errors]
-    return shards
 
 
 # ---------------------------------------------------------------------------
@@ -373,26 +86,11 @@ def _max_abs(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def _model_params(model) -> List[np.ndarray]:
-    if isinstance(model, DeepNetwork):
-        out = []
-        for layer in model.layers:
-            out.extend((layer.w, layer.b))
-        return out
-    out = []
-    for block in model.blocks:
-        if isinstance(block, SparseAutoencoder):
-            out.extend((block.w1, block.b1, block.w2, block.b2))
-        else:
-            out.extend((block.w, block.b, block.c))
-    return out
-
-
 def _roundtrip_max_abs(model, n_shards: int) -> float:
     rebuilt = merge(partition(model, n_shards))
     return max(
         _max_abs(a, b)
-        for a, b in zip(_model_params(model), _model_params(rebuilt))
+        for a, b in zip(model_params(model), model_params(rebuilt))
     )
 
 
@@ -653,7 +351,7 @@ def run_pretrain_drill(
         )
     resume_max_abs = 0.0
     for a, b in zip(shards_a, shards_b):
-        for pa, pb in zip(_model_params(a.model), _model_params(b.model)):
+        for pa, pb in zip(model_params(a.model), model_params(b.model)):
             resume_max_abs = max(resume_max_abs, _max_abs(pa, pb))
         for ca, cb in zip(a.cross, b.cross):
             resume_max_abs = max(resume_max_abs, _max_abs(ca.values, cb.values))
@@ -760,27 +458,21 @@ def run_shard_kill_drill(
 
 
 # ---------------------------------------------------------------------------
-# the full bench + report plumbing
+# the full bench
 # ---------------------------------------------------------------------------
 
-def run_shard_bench(
-    servable: Optional[ServableModel] = None,
-    shard_counts: Sequence[int] = SHARD_COUNTS,
-    quick: bool = False,
-    seed: int = 0,
-) -> Dict[str, object]:
+def run_shard_bench(quick: bool = False, seed: int = 0) -> Dict[str, object]:
     """Run every drill; returns the JSON-serialisable report."""
     from repro.serve.benchrun import train_demo_servable
 
-    if servable is None:
-        servable = train_demo_servable(
-            n_examples=128 if quick else 256,
-            epochs=2 if quick else 3,
-            seed=seed,
-        )
+    servable = train_demo_servable(
+        n_examples=128 if quick else 256,
+        epochs=2 if quick else 3,
+        seed=seed,
+    )
     drill_s = 0.06 if quick else 0.12
     rows: List[Dict[str, object]] = []
-    rows.extend(run_parity_rows(shard_counts, seed=seed, quick=quick))
+    rows.extend(run_parity_rows(SHARD_COUNTS, seed=seed, quick=quick))
     rows.append(run_pretrain_drill(seed=seed, quick=quick))
     rows.append(run_serving_drill(servable, duration_s=drill_s, seed=seed))
     rows.append(
@@ -789,66 +481,27 @@ def run_shard_bench(
     return {"schema": SCHEMA, "seed": int(seed), "quick": bool(quick), "rows": rows}
 
 
-_REQUIRED_KEYS = {
-    "parity": ("family", "n_shards", "forward_max_abs", "step_max_abs",
-               "roundtrip_max_abs"),
-    "pretrain": ("n_shards", "exchange_every", "snapshots", "resume_max_abs"),
-    "serving": ("n_shards", "offered", "completed", "failed",
-                "p99_single_ms", "p99_sharded_ms", "p99_ratio",
-                "throughput_rps"),
-    "shard_kill": ("n_shards", "victim_shard", "offered", "completed",
-                   "failed", "deaths", "degraded_requests"),
-}
+#: sharded-vs-whole-model p99 ceiling of the serving drill
+MAX_P99_RATIO = 1.25
 
 
-def validate_report(report: Dict[str, object]) -> None:
-    """Schema check; raises :class:`ConfigurationError` on violations."""
-    if not isinstance(report, dict) or report.get("schema") != SCHEMA:
-        raise ConfigurationError(
-            f"not a {SCHEMA} report: schema={report.get('schema')!r}"
-            if isinstance(report, dict)
-            else "report must be a JSON object"
-        )
-    rows = report.get("rows")
-    if not isinstance(rows, list) or not rows:
-        raise ConfigurationError("report has no rows")
-    seen = set()
-    for i, row in enumerate(rows):
-        kind = row.get("kind")
-        if kind not in _REQUIRED_KEYS:
-            raise ConfigurationError(f"row {i}: unknown kind {kind!r}")
-        seen.add(kind)
-        missing = [k for k in _REQUIRED_KEYS[kind] if k not in row]
-        if missing:
-            raise ConfigurationError(f"row {i} ({kind}): missing keys {missing}")
-    missing_kinds = set(_REQUIRED_KEYS) - seen
-    if missing_kinds:
-        raise ConfigurationError(
-            f"report missing drill kinds: {sorted(missing_kinds)}"
-        )
-
-
-def enforce_gates(
-    report: Dict[str, object],
-    parity_tol: float = PARITY_TOL,
-    max_p99_ratio: float = 1.25,
-) -> List[str]:
-    """The acceptance gates; returns human-readable failures (empty = pass)."""
+def enforce_gates(report: Dict[str, object]) -> Findings:
+    """The acceptance gates; returns ``(failures, [])``."""
     failures: List[str] = []
     for row in report["rows"]:
         kind = row["kind"]
         if kind == "parity":
             tag = f"parity[{row['family']} N={row['n_shards']}]"
             for key in ("forward_max_abs", "step_max_abs", "roundtrip_max_abs"):
-                if row[key] > parity_tol:
+                if row[key] > PARITY_TOL:
                     failures.append(
-                        f"{tag}: {key} {row[key]:.3e} > {parity_tol:g}"
+                        f"{tag}: {key} {row[key]:.3e} > {PARITY_TOL:g}"
                     )
         elif kind == "pretrain":
-            if row["resume_max_abs"] > parity_tol:
+            if row["resume_max_abs"] > PARITY_TOL:
                 failures.append(
                     f"pretrain: resumed run diverged by "
-                    f"{row['resume_max_abs']:.3e} (> {parity_tol:g})"
+                    f"{row['resume_max_abs']:.3e} (> {PARITY_TOL:g})"
                 )
             if row["snapshots"] < 2:
                 failures.append(
@@ -857,10 +510,10 @@ def enforce_gates(
         elif kind == "serving":
             if row["failed"]:
                 failures.append(f"serving: {row['failed']} request(s) failed")
-            if row["p99_ratio"] > max_p99_ratio:
+            if row["p99_ratio"] > MAX_P99_RATIO:
                 failures.append(
                     f"serving: sharded p99 is {row['p99_ratio']:.2f}x the "
-                    f"single-replica whole model (> {max_p99_ratio:.2f}x)"
+                    f"single-replica whole model (> {MAX_P99_RATIO:.2f}x)"
                 )
         elif kind == "shard_kill":
             if row["failed"] or row["deaths"] != 1 or row["degraded_requests"] < 1:
@@ -869,52 +522,60 @@ def enforce_gates(
                     f"degraded={row['degraded_requests']} "
                     "(degraded-mode contract broken)"
                 )
-    return failures
+    return failures, []
 
 
-def compare_to_baseline(
-    report: Dict[str, object],
-    baseline: Dict[str, object],
-    max_regression: float = 0.25,
-) -> List[str]:
-    """Regression fence on the serving headline numbers."""
-    failures: List[str] = []
-
-    def serving_row(rep):
-        for row in rep.get("rows", []):
-            if row.get("kind") == "serving":
-                return row
-        return None
-
-    current, base = serving_row(report), serving_row(baseline)
-    if current is None or base is None:
-        return failures
-    if base["p99_ratio"] > 0:
-        ceiling = base["p99_ratio"] * (1.0 + max_regression)
-        if current["p99_ratio"] > ceiling:
-            failures.append(
-                f"serving p99 ratio: {current['p99_ratio']:.2f} > "
-                f"{ceiling:.2f} (baseline {base['p99_ratio']:.2f}, "
-                f"allowed regression {max_regression:.0%})"
-            )
-    if base["throughput_rps"] > 0:
-        floor = base["throughput_rps"] * (1.0 - max_regression)
-        if current["throughput_rps"] < floor:
-            failures.append(
-                f"serving throughput: {current['throughput_rps']:.0f} rps < "
-                f"{floor:.0f} (baseline {base['throughput_rps']:.0f}, "
-                f"allowed regression {max_regression:.0%})"
-            )
-    return failures
+def _display(row: Dict[str, object]) -> str:
+    kind = row["kind"]
+    if kind == "parity":
+        return (
+            f"parity {row['family']} N={row['n_shards']}: "
+            f"forward {row['forward_max_abs']:.1e} "
+            f"step {row['step_max_abs']:.1e} "
+            f"roundtrip {row['roundtrip_max_abs']:.1e}"
+        )
+    if kind == "pretrain":
+        return (
+            f"pretrain N={row['n_shards']} exchange_every="
+            f"{row['exchange_every']}: {row['snapshots']} snapshots, "
+            f"resume diff {row['resume_max_abs']:.1e}"
+        )
+    if kind == "serving":
+        return (
+            f"serving N={row['n_shards']}: {row['completed']}/"
+            f"{row['offered']} served, failed={row['failed']}, "
+            f"p99 {row['p99_single_ms']:.2f} -> {row['p99_sharded_ms']:.2f} ms "
+            f"({row['p99_ratio']:.2f}x)"
+        )
+    return (
+        f"shard-kill N={row['n_shards']} victim={row['victim_shard']}: "
+        f"{row['completed']}/{row['offered']} served, failed={row['failed']}, "
+        f"deaths={row['deaths']}, degraded={row['degraded_requests']}"
+    )
 
 
-def write_report(report: Dict[str, object], path) -> str:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return str(path)
-
-
-def load_report(path) -> Dict[str, object]:
-    with open(path) as fh:
-        return json.load(fh)
+SUITE = Suite(
+    name="shard",
+    schema=SCHEMA,
+    run=run_shard_bench,
+    fields={
+        "parity": dict.fromkeys(("family", "n_shards", "forward_max_abs",
+                                 "step_max_abs", "roundtrip_max_abs")),
+        "pretrain": dict.fromkeys(("n_shards", "exchange_every", "snapshots",
+                                   "resume_max_abs")),
+        "serving": dict.fromkeys(("n_shards", "offered", "completed", "failed",
+                                  "p99_single_ms", "p99_sharded_ms",
+                                  "p99_ratio", "throughput_rps")),
+        "shard_kill": dict.fromkeys(("n_shards", "victim_shard", "offered",
+                                     "completed", "failed", "deaths",
+                                     "degraded_requests")),
+    },
+    # Parity and resume rows are gated absolutely; the serving headline
+    # numbers are also fenced against the baseline.
+    metrics=lambda row: (
+        (("p99_ratio", LOWER), ("throughput_rps", HIGHER))
+        if row["kind"] == "serving" else ()
+    ),
+    gates=enforce_gates,
+    display=_display,
+)

@@ -1,4 +1,4 @@
-"""The ``slo-bench`` artefact: trace-driven workload runs with SLO gates.
+"""The ``workloads`` bench suite: trace-driven workload runs with SLO gates.
 
 Each of the four catalog patterns (:mod:`repro.workloads.patterns`)
 replays against the serving tier it stresses, and the resulting
@@ -20,17 +20,17 @@ replays against the serving tier it stresses, and the resulting
 
 Everything runs on the simulated clock with an analytic
 :class:`~repro.serve.engine.ConstantServiceModel`, so the committed
-``BENCH_workloads.json`` is machine-independent and the CI
-``slo-smoke`` regression gate is exact, not advisory.
+``BENCH_workloads.json`` is machine-independent and the regression
+fence of ``python -m repro bench workloads`` is exact, not advisory.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.bench.suite import HIGHER, LOWER, Findings, Suite
 from repro.errors import ConfigurationError
 from repro.serve.batcher import BatchPolicy
 from repro.serve.cache import FeatureCache
@@ -261,17 +261,12 @@ def run_trace(
 
 
 # ---------------------------------------------------------------------------
-# the full bench + report plumbing
+# the full bench
 # ---------------------------------------------------------------------------
 
-def run_workloads_bench(
-    quick: bool = False,
-    seed: int = 0,
-    servable: Optional[ServableModel] = None,
-) -> Dict[str, object]:
+def run_workloads_bench(quick: bool = False, seed: int = 0) -> Dict[str, object]:
     """Replay all four patterns; returns the JSON-serialisable report."""
-    if servable is None:
-        servable = demo_servable(seed=seed)
+    servable = demo_servable(seed=seed)
     rows: List[Dict[str, object]] = []
     for pattern in sorted(PATTERNS):
         trace = generate(pattern, seed=seed, quick=quick)
@@ -305,43 +300,8 @@ def run_workloads_bench(
     return {"schema": SCHEMA, "seed": int(seed), "quick": bool(quick), "rows": rows}
 
 
-_REQUIRED_KEYS = (
-    "kind", "fingerprint", "offered", "completed", "shed", "errors",
-    "cache_hit_rate", "throughput_rps", "p50_ms", "p99_ms",
-    "train_steps", "train_failures", "slo_p99_ms", "slo_error_budget",
-    "slo_shed_budget", "slo_failures", "slo_ok",
-)
-
-
-def validate_report(report: Dict[str, object]) -> None:
-    """Schema check; raises :class:`ConfigurationError` on violations."""
-    if not isinstance(report, dict) or report.get("schema") != SCHEMA:
-        raise ConfigurationError(
-            f"not a {SCHEMA} report: schema={report.get('schema')!r}"
-            if isinstance(report, dict)
-            else "report must be a JSON object"
-        )
-    rows = report.get("rows")
-    if not isinstance(rows, list) or not rows:
-        raise ConfigurationError("report has no rows")
-    seen = set()
-    for i, row in enumerate(rows):
-        kind = row.get("kind")
-        if kind not in PATTERNS:
-            raise ConfigurationError(f"row {i}: unknown kind {kind!r}")
-        seen.add(kind)
-        missing = [k for k in _REQUIRED_KEYS if k not in row]
-        if missing:
-            raise ConfigurationError(f"row {i} ({kind}): missing keys {missing}")
-    missing_kinds = set(PATTERNS) - seen
-    if missing_kinds:
-        raise ConfigurationError(
-            f"report missing patterns: {sorted(missing_kinds)}"
-        )
-
-
-def enforce_gates(report: Dict[str, object]) -> List[str]:
-    """The acceptance gates; returns human-readable failures (empty = pass)."""
+def enforce_gates(report: Dict[str, object]) -> Findings:
+    """The acceptance gates; returns ``(failures, [])``."""
     failures: List[str] = []
     for row in report["rows"]:
         kind = row["kind"]
@@ -368,58 +328,42 @@ def enforce_gates(report: Dict[str, object]) -> List[str]:
                     f"mixed_train_serve: {row['train_failures']} training "
                     "step(s) failed"
                 )
-    return failures
+    return failures, []
 
 
-def compare_to_baseline(
-    report: Dict[str, object],
-    baseline: Dict[str, object],
-    max_regression: float = 0.25,
-) -> List[str]:
-    """Per-pattern throughput floor + p99 ceiling vs a committed baseline.
-
-    Simulated clocks make same-shape runs bit-identical, so this gate is
-    exact; comparing a ``--quick`` run against a full-size baseline (or
-    vice versa) is refused rather than silently mismatched.
-    """
-    failures: List[str] = []
-    if bool(report.get("quick")) != bool(baseline.get("quick")):
-        return [
-            f"cannot compare quick={report.get('quick')} run against "
-            f"quick={baseline.get('quick')} baseline (trace shapes differ); "
-            "regenerate the baseline with the same flag"
-        ]
-    current = {row["kind"]: row for row in report["rows"]}
-    for row in baseline["rows"]:
-        kind = row["kind"]
-        if kind not in current:
-            continue
-        base_tp, cur_tp = row["throughput_rps"], current[kind]["throughput_rps"]
-        if base_tp > 0 and cur_tp < base_tp * (1.0 - max_regression):
-            failures.append(
-                f"{kind}: throughput {cur_tp:,.0f} rps < "
-                f"{base_tp * (1.0 - max_regression):,.0f} "
-                f"(baseline {base_tp:,.0f}, allowed regression "
-                f"{max_regression:.0%})"
-            )
-        base_p99, cur_p99 = row["p99_ms"], current[kind]["p99_ms"]
-        if base_p99 > 0 and cur_p99 > base_p99 * (1.0 + max_regression):
-            failures.append(
-                f"{kind}: p99 {cur_p99:.3f} ms > "
-                f"{base_p99 * (1.0 + max_regression):.3f} "
-                f"(baseline {base_p99:.3f}, allowed regression "
-                f"{max_regression:.0%})"
-            )
-    return failures
+def _display(row: Dict[str, object]) -> str:
+    slo = "SLO ok" if row["slo_ok"] else "SLO VIOLATED"
+    extra = ""
+    if row["kind"] == "mixed_train_serve":
+        extra = (
+            f", train {row['train_steps']} step(s) "
+            f"/ {row['train_failures']} failed"
+        )
+    lines = [
+        f"{row['kind']}: {row['completed']}/{row['offered']} served "
+        f"(shed {row['shed']}, errors {row['errors']}), "
+        f"{row['throughput_rps']:,.0f} rps, p99 {row['p99_ms']:.2f} ms, "
+        f"cache hit rate {row['cache_hit_rate']:.2f}, {slo}{extra}"
+    ]
+    lines.extend(f"  - {violation}" for violation in row["slo_failures"])
+    return "\n".join(lines)
 
 
-def write_report(report: Dict[str, object], path) -> str:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return str(path)
+_FIELDS = dict.fromkeys((
+    "kind", "fingerprint", "offered", "completed", "shed", "errors",
+    "cache_hit_rate", "throughput_rps", "p50_ms", "p99_ms",
+    "train_steps", "train_failures", "slo_p99_ms", "slo_error_budget",
+    "slo_shed_budget", "slo_failures", "slo_ok",
+))
 
-
-def load_report(path) -> Dict[str, object]:
-    with open(path) as fh:
-        return json.load(fh)
+#: Simulated clocks make same-shape runs bit-identical, so the fence on
+#: per-pattern throughput and p99 is exact, not advisory.
+SUITE = Suite(
+    name="workloads",
+    schema=SCHEMA,
+    run=run_workloads_bench,
+    fields={pattern: _FIELDS for pattern in sorted(PATTERNS)},
+    metrics=lambda row: (("throughput_rps", HIGHER), ("p99_ms", LOWER)),
+    gates=enforce_gates,
+    display=_display,
+)

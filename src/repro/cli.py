@@ -8,17 +8,13 @@
     python -m repro cores                  # core-count scaling extension
     python -m repro roofline               # roofline of one SAE step
     python -m repro serve-bench            # inference serving sweep
-    python -m repro cluster-bench [--quick]  # multi-replica cluster drills
-    python -m repro shard-bench [--quick]  # model-parallel shard drills
-    python -m repro hotpath [--quick]      # fused-kernel wall-clock bench
-    python -m repro parallel-bench [--quick]  # thread+process executor bench
-    python -m repro pipeline-bench [--quick]  # pipelined vs greedy pretrain
+    python -m repro bench SUITE [--quick]  # a gated suite: hotpath, parallel,
+                                           # pipeline, shard, cluster, workloads
     python -m repro chaos [--quick]        # fault-injection + resume drill
     python -m repro chaos --under-load mixed_train_serve  # faults mid-replay
     python -m repro chaos --shard          # shard kill + exchange-kill drills
     python -m repro trace-gen --pattern diurnal --out d.jsonl  # save a trace
-    python -m repro slo-bench [--quick]    # workload patterns vs SLO gates
-    python -m repro all                    # everything (except wall-clock benches)
+    python -m repro all                    # everything (except benches + chaos)
     python -m repro table1 --csv out.csv   # export rows
 
 Exit status 0 on success; harness errors propagate as non-zero.
@@ -86,143 +82,6 @@ def _rows_for(command: str, model: str, args=None):
             duration_s=duration, seed=0 if seed is None else seed
         )
         return rows, "Serving sweep: batch policy x arrival rate (simulated Phi)"
-    if command == "cluster-bench":
-        from repro.cluster import run_cluster_bench
-
-        report = run_cluster_bench(
-            quick=bool(getattr(args, "quick", False)),
-            seed=getattr(args, "seed", None) or 0,
-        )
-        return (
-            report["rows"],
-            "Cluster drills: saturation, hedging, swap, kill, autoscale "
-            "(simulated clock)",
-        )
-    if command == "shard-bench":
-        from repro.bench.shardbench import run_shard_bench
-
-        report = run_shard_bench(
-            quick=bool(getattr(args, "quick", False)),
-            seed=getattr(args, "seed", None) or 0,
-        )
-        display = []
-        for row in report["rows"]:
-            kind = row["kind"]
-            if kind == "parity":
-                display.append({
-                    "drill": f"parity {row['family']} N={row['n_shards']}",
-                    "result": (
-                        f"forward {row['forward_max_abs']:.1e} "
-                        f"step {row['step_max_abs']:.1e}"
-                    ),
-                    "note": f"roundtrip {row['roundtrip_max_abs']:.1e}",
-                })
-            elif kind == "pretrain":
-                display.append({
-                    "drill": f"pretrain resume N={row['n_shards']}",
-                    "result": f"diff {row['resume_max_abs']:.1e}",
-                    "note": (
-                        f"{row['snapshots']} snapshots, "
-                        f"exchange every {row['exchange_every']}"
-                    ),
-                })
-            elif kind == "serving":
-                display.append({
-                    "drill": f"serving N={row['n_shards']}",
-                    "result": (
-                        f"{row['completed']}/{row['offered']} served, "
-                        f"failed={row['failed']}"
-                    ),
-                    "note": (
-                        f"p99 {row['p99_single_ms']:.2f} -> "
-                        f"{row['p99_sharded_ms']:.2f} ms "
-                        f"({row['p99_ratio']:.2f}x)"
-                    ),
-                })
-            elif kind == "shard_kill":
-                display.append({
-                    "drill": f"shard-kill N={row['n_shards']}",
-                    "result": (
-                        f"{row['completed']}/{row['offered']} served, "
-                        f"failed={row['failed']}"
-                    ),
-                    "note": (
-                        f"deaths={row['deaths']}, "
-                        f"degraded={row['degraded_requests']}"
-                    ),
-                })
-        return display, (
-            "Shard drills: masked-oracle parity, resume, scatter-gather, "
-            "shard kill (simulated clock)"
-        )
-    if command == "hotpath":
-        from repro.bench.hotpath import QUICK_SHAPES, run_hotpath_bench
-
-        quick = bool(getattr(args, "quick", False))
-        report = run_hotpath_bench(
-            shapes=QUICK_SHAPES if quick else None,
-            trials=5 if quick else 8,
-            inner=3 if quick else 4,
-            seed=getattr(args, "seed", None) or 0,
-        )
-        return report["rows"], "Hot path: reference vs fused training step (wall clock)"
-    if command == "parallel-bench":
-        from repro.bench.parallel import QUICK_SHAPES, run_parallel_bench
-
-        quick = bool(getattr(args, "quick", False))
-        report = run_parallel_bench(
-            shapes=QUICK_SHAPES if quick else None,
-            trials=5 if quick else 8,
-            inner=3 if quick else 4,
-            n_chunks=8,
-            seed=getattr(args, "seed", None) or 0,
-        )
-        title = (
-            "Parallel executors: gradient workers "
-            f"({'+'.join(report['engines'])}) + chunk prefetcher "
-            f"(wall clock, {report['n_cores']} core(s))"
-        )
-        return report["rows"], title
-    if command == "pipeline-bench":
-        from repro.bench.pipeline import run_pipeline_bench
-
-        quick = bool(getattr(args, "quick", False))
-        report = run_pipeline_bench(
-            quick=quick,
-            seed=getattr(args, "seed", None) or 0,
-            trials=1 if quick else 2,
-        )
-        title = (
-            "Pipelined vs greedy pre-training (wall clock + convergence, "
-            f"{report['n_cores']} core(s))"
-        )
-        # Flatten the two row kinds into one display shape (format_table
-        # derives its columns from the first row).
-        display = []
-        for row in report["rows"]:
-            if row["kind"] == "walltime":
-                display.append({
-                    "row": (
-                        f"walltime {row['n_examples']}x{row['n_visible']} "
-                        f"layers={row['layers']} E={row['epochs']}"
-                    ),
-                    "greedy": f"{row['greedy_s']:.2f}s",
-                    "pipelined": f"{row['pipelined_s']:.2f}s",
-                    "ratio": f"{row['speedup']:.2f}x",
-                    "note": (
-                        f"ideal {row['ideal_speedup']:.2f}x, scaling "
-                        f"expected: {row['expected_scaling']}"
-                    ),
-                })
-            else:
-                display.append({
-                    "row": f"convergence layer {row['layer']} (final loss)",
-                    "greedy": f"{row['greedy_loss']:.4f}",
-                    "pipelined": f"{row['pipelined_loss']:.4f}",
-                    "ratio": f"rel {row['rel_diff']:.4f}",
-                    "note": f"tol {row['tol']:.2f}, within: {row['within_tol']}",
-                })
-        return display, title
     if command == "chaos":
         from repro.testing.chaos import run_chaos
 
@@ -267,46 +126,17 @@ def _rows_for(command: str, model: str, args=None):
             "path": str(path),
         }
         return [row], "Trace generated (replay with chaos --under-load PATH)"
-    if command == "slo-bench":
-        from repro.bench.slobench import run_workloads_bench, write_report
-
-        report = run_workloads_bench(
-            quick=bool(getattr(args, "quick", False)),
-            seed=getattr(args, "seed", None) or 0,
-        )
-        out = getattr(args, "out", None)
-        if out:
-            write_report(report, out)
-        rows = [
-            {
-                "pattern": row["kind"],
-                "served": f"{row['completed']}/{row['offered']}",
-                "shed": row["shed"],
-                "errors": row["errors"],
-                "rps": f"{row['throughput_rps']:,.0f}",
-                "p99_ms": f"{row['p99_ms']:.2f}",
-                "hit_rate": f"{row['cache_hit_rate']:.2f}",
-                "slo_ok": row["slo_ok"],
-                "note": "; ".join(row["slo_failures"]) or "-",
-            }
-            for row in report["rows"]
-        ]
-        return rows, "Workload patterns vs per-pattern SLO gates (simulated clock)"
     raise ValueError(f"unknown command {command!r}")
 
 
 _COMMANDS = [
     "table1", "fig7", "fig8", "fig9", "fig10", "overlap", "headline",
-    "cores", "roofline", "serve-bench", "cluster-bench", "shard-bench",
-    "hotpath", "parallel-bench", "pipeline-bench", "verify", "chaos",
-    "trace-gen", "slo-bench", "all",
+    "cores", "roofline", "serve-bench", "verify", "chaos", "trace-gen",
+    "bench", "all",
 ]
 
 #: commands too slow / machine-dependent to fold into ``all``
-_EXCLUDED_FROM_ALL = {
-    "hotpath", "parallel-bench", "pipeline-bench", "chaos", "cluster-bench",
-    "shard-bench", "trace-gen", "slo-bench",
-}
+_EXCLUDED_FROM_ALL = {"chaos", "trace-gen", "bench"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,7 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
             "(IPDPSW 2014) on the simulated machines."
         ),
     )
-    parser.add_argument("command", choices=_COMMANDS, help="artefact to regenerate")
+    parser.add_argument(
+        "command", choices=_COMMANDS,
+        help="artefact to regenerate ('bench SUITE' runs a gated suite, "
+        "see 'repro bench --help')",
+    )
     parser.add_argument(
         "--model",
         choices=["autoencoder", "rbm"],
@@ -337,18 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=None,
-        help=(
-            "serve-bench / hotpath / parallel-bench / pipeline-bench: "
-            "workload seed (default 0)"
-        ),
+        help="serve-bench / chaos / trace-gen: workload seed (default 0)",
     )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help=(
-            "hotpath / parallel-bench / pipeline-bench / chaos / "
-            "cluster-bench: small shapes + fewer trials (CI smoke run)"
-        ),
+        help="chaos / trace-gen: short drills and traces (CI smoke run)",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -385,14 +213,97 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         metavar="PATH",
         default=None,
-        help="trace-gen: trace file to write; slo-bench: JSON report to write",
+        help="trace-gen: trace file to write",
     )
     return parser
 
 
+def build_bench_parser() -> argparse.ArgumentParser:
+    from repro.bench.suite import SUITES
+
+    parser = argparse.ArgumentParser(
+        prog="repro bench",
+        description=(
+            "Run one gated benchmark suite, apply its gates and optionally "
+            "fence it against a committed baseline.  Exits 1 on any schema "
+            "error, gate failure or regression."
+        ),
+    )
+    parser.add_argument("suite", choices=sorted(SUITES), help="suite to run")
+    parser.add_argument(
+        "--quick", action="store_true",
+        help="CI-sized shapes and drills (same gates)",
+    )
+    parser.add_argument("--seed", type=int, default=0, help="workload seed")
+    parser.add_argument("--out", metavar="PATH", help="write the JSON report")
+    parser.add_argument(
+        "--validate", metavar="PATH",
+        help="check this saved report instead of running the suite",
+    )
+    parser.add_argument(
+        "--baseline", metavar="PATH",
+        help="fail on a >25%% regression of the suite's metrics vs this report",
+    )
+    return parser
+
+
+def bench_main(argv: List[str]) -> int:
+    """``repro bench <suite>``: run or load, validate, gate, compare."""
+    from repro.bench import suite as core
+    from repro.errors import ConfigurationError
+
+    args = build_bench_parser().parse_args(argv)
+    suite = core.get(args.suite)
+    try:
+        if args.validate:
+            report = core.load(args.validate)
+            core.validate(suite, report)
+            print(f"{args.validate}: schema OK")
+        else:
+            report = suite.run(args.quick, args.seed)
+            print(" ".join(
+                f"{key}={value}" for key, value in report.items()
+                if key not in ("schema", "rows")
+                and not isinstance(value, (list, dict))
+            ))
+            for row in report["rows"]:
+                print(suite.display(row))
+            core.validate(suite, report)
+        if args.out:
+            print(f"wrote {core.write(suite, report, args.out)}")
+        failures, skipped = suite.gates(report)
+        if args.baseline:
+            regressions, notes = core.compare_to_baseline(
+                suite, report, core.load(args.baseline)
+            )
+            skipped = skipped + notes
+        else:
+            regressions = []
+    except (ConfigurationError, ValueError) as exc:
+        print(f"INVALID: {exc}", file=sys.stderr)
+        return 1
+    for note in skipped:
+        print(f"SKIPPED: {note}")
+    for failure in failures:
+        print(f"GATE FAILED: {failure}", file=sys.stderr)
+    for regression in regressions:
+        print(f"REGRESSION: {regression}", file=sys.stderr)
+    if not failures:
+        print(f"{suite.name}: gates passed")
+    if args.baseline and not regressions:
+        print(f"{suite.name}: no regression vs {args.baseline}")
+    return 1 if failures or regressions else 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit status."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["bench"]:
+        return bench_main(argv[1:])
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "bench":
+        parser.error("'bench' takes its own options: repro bench SUITE [--quick] ...")
     from repro.bench.report import format_table, write_csv, write_json
 
     commands = (
@@ -410,8 +321,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if command == "verify" and any(r.get("status") == "FAIL" for r in rows):
             status = 1
         if command == "chaos" and any(not r.get("ok", False) for r in rows):
-            status = 1
-        if command == "slo-bench" and any(not r.get("slo_ok", False) for r in rows):
             status = 1
     if args.csv:
         print(f"wrote {write_csv(all_rows, args.csv)}")

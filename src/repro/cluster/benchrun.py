@@ -1,4 +1,4 @@
-"""The ``cluster-bench`` artefact: multi-replica drills with hard gates.
+"""The ``cluster`` bench suite: multi-replica drills with hard gates.
 
 Four drills, all deterministic (simulated clock, seeded arrivals), all
 run against the same freshly pre-trained demo servable:
@@ -18,16 +18,14 @@ run against the same freshly pre-trained demo servable:
   the router must fail its outstanding legs over with 0 client-visible
   failures.
 
-The committed ``BENCH_cluster.json`` baseline plus
-:func:`compare_to_baseline` give CI a 25 % regression gate on the two
-headline ratios (scaling, hedge gain), mirroring the hotpath/parallel
-benches.  Because the clock is simulated the numbers are
-machine-independent — the regression gate is tight, not advisory.
+The committed ``BENCH_cluster.json`` baseline gives
+``python -m repro bench cluster`` a 25 % regression fence on the two
+headline ratios (scaling, hedge gain).  Because the clock is simulated
+the numbers are machine-independent — the fence is tight, not advisory.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
@@ -41,6 +39,7 @@ from repro.cluster.router import (
     RoundRobinPolicy,
     Router,
 )
+from repro.bench.suite import HIGHER, Findings, Suite
 from repro.errors import ConfigurationError
 from repro.serve.batcher import BatchPolicy
 from repro.serve.engine import SimulatedServiceModel
@@ -346,31 +345,21 @@ def run_autoscale_drill(
 
 
 # ---------------------------------------------------------------------------
-# the full bench + report plumbing
+# the full bench
 # ---------------------------------------------------------------------------
 
-def run_cluster_bench(
-    servable: Optional[ServableModel] = None,
-    servable_v2: Optional[ServableModel] = None,
-    replica_counts: Sequence[int] = (1, 2, 4),
-    quick: bool = False,
-    seed: int = 0,
-) -> Dict[str, object]:
+def run_cluster_bench(quick: bool = False, seed: int = 0) -> Dict[str, object]:
     """Run every drill; returns the JSON-serialisable report."""
     from repro.serve.benchrun import train_demo_servable
 
-    if servable is None:
-        servable = train_demo_servable(n_examples=128, epochs=2, seed=seed)
-    if servable_v2 is None:
-        servable_v2 = train_demo_servable(n_examples=128, epochs=2, seed=seed + 1)
+    servable = train_demo_servable(n_examples=128, epochs=2, seed=seed)
+    servable_v2 = train_demo_servable(n_examples=128, epochs=2, seed=seed + 1)
     saturation_s = 0.05 if quick else 0.2
     hedge_s = 0.06 if quick else 0.12
     drill_s = 0.1 if quick else 0.25
     rows: List[Dict[str, object]] = []
     rows.extend(
-        run_saturation_sweep(
-            servable, replica_counts, duration_s=saturation_s, seed=seed
-        )
+        run_saturation_sweep(servable, duration_s=saturation_s, seed=seed)
     )
     rows.append(run_hedge_drill(servable, duration_s=hedge_s, seed=seed))
     rows.append(
@@ -381,66 +370,32 @@ def run_cluster_bench(
     return {"schema": SCHEMA, "seed": int(seed), "quick": bool(quick), "rows": rows}
 
 
-_REQUIRED_KEYS = {
-    "saturation": ("n_replicas", "throughput_rps", "p99_ms", "speedup_vs_1",
-                   "p99_ratio_vs_1"),
-    "hedge": ("p99_off_ms", "p99_on_ms", "p99_gain", "hedges_launched"),
-    "swap": ("offered", "completed", "failed", "shed", "drained"),
-    "kill": ("offered", "completed", "failed", "deaths", "rerouted"),
-    "autoscale": ("scale_ups", "scale_downs", "replicas_final"),
-}
+#: acceptance gates of the drills
+MIN_SCALING = 3.0
+MIN_HEDGE_GAIN = 1.5
+MAX_P99_RATIO = 1.25
 
 
-def validate_report(report: Dict[str, object]) -> None:
-    """Schema check; raises :class:`ConfigurationError` on violations."""
-    if not isinstance(report, dict) or report.get("schema") != SCHEMA:
-        raise ConfigurationError(
-            f"not a {SCHEMA} report: schema={report.get('schema')!r}"
-            if isinstance(report, dict)
-            else "report must be a JSON object"
-        )
-    rows = report.get("rows")
-    if not isinstance(rows, list) or not rows:
-        raise ConfigurationError("report has no rows")
-    seen = set()
-    for i, row in enumerate(rows):
-        kind = row.get("kind")
-        if kind not in _REQUIRED_KEYS:
-            raise ConfigurationError(f"row {i}: unknown kind {kind!r}")
-        seen.add(kind)
-        missing = [k for k in _REQUIRED_KEYS[kind] if k not in row]
-        if missing:
-            raise ConfigurationError(f"row {i} ({kind}): missing keys {missing}")
-    missing_kinds = set(_REQUIRED_KEYS) - seen
-    if missing_kinds:
-        raise ConfigurationError(f"report missing drill kinds: {sorted(missing_kinds)}")
-
-
-def enforce_gates(
-    report: Dict[str, object],
-    min_scaling: float = 3.0,
-    min_hedge_gain: float = 1.5,
-    max_p99_ratio: float = 1.25,
-) -> List[str]:
-    """The acceptance gates; returns human-readable failures (empty = pass)."""
+def enforce_gates(report: Dict[str, object]) -> Findings:
+    """The acceptance gates; returns ``(failures, [])``."""
     failures: List[str] = []
     saturation = [r for r in report["rows"] if r["kind"] == "saturation"]
     top = max(saturation, key=lambda r: r["n_replicas"])
-    if top["speedup_vs_1"] < min_scaling:
+    if top["speedup_vs_1"] < MIN_SCALING:
         failures.append(
             f"saturation: N={top['n_replicas']} speedup {top['speedup_vs_1']:.2f}x "
-            f"< {min_scaling:.2f}x floor"
+            f"< {MIN_SCALING:.2f}x floor"
         )
-    if top["p99_ratio_vs_1"] > max_p99_ratio:
+    if top["p99_ratio_vs_1"] > MAX_P99_RATIO:
         failures.append(
             f"saturation: N={top['n_replicas']} p99 ratio "
-            f"{top['p99_ratio_vs_1']:.2f} > {max_p99_ratio:.2f} (not 'equal p99')"
+            f"{top['p99_ratio_vs_1']:.2f} > {MAX_P99_RATIO:.2f} (not 'equal p99')"
         )
     for row in report["rows"]:
         kind = row["kind"]
-        if kind == "hedge" and row["p99_gain"] < min_hedge_gain:
+        if kind == "hedge" and row["p99_gain"] < MIN_HEDGE_GAIN:
             failures.append(
-                f"hedge: p99 gain {row['p99_gain']:.2f}x < {min_hedge_gain:.2f}x floor"
+                f"hedge: p99 gain {row['p99_gain']:.2f}x < {MIN_HEDGE_GAIN:.2f}x floor"
             )
         if kind == "swap" and (row["failed"] or row["shed"] or not row["drained"]):
             failures.append(
@@ -454,50 +409,63 @@ def enforce_gates(
             )
         if kind == "autoscale" and row["scale_ups"] < 1:
             failures.append("autoscale: burst produced no scale-up")
-    return failures
+    return failures, []
 
 
-def compare_to_baseline(
-    report: Dict[str, object],
-    baseline: Dict[str, object],
-    max_regression: float = 0.25,
-) -> List[str]:
-    """Compare the headline ratios against a committed baseline."""
-    failures: List[str] = []
-
-    def ratio_by_kind(rep, kind, key, tag=None):
-        out = {}
-        for row in rep["rows"]:
-            if row["kind"] == kind:
-                out[row.get(tag) if tag else kind] = row[key]
-        return out
-
-    for label, (kind, key, tag) in {
-        "saturation speedup": ("saturation", "speedup_vs_1", "n_replicas"),
-        "hedge p99 gain": ("hedge", "p99_gain", None),
-    }.items():
-        current = ratio_by_kind(report, kind, key, tag)
-        base = ratio_by_kind(baseline, kind, key, tag)
-        for cell, base_value in base.items():
-            if cell not in current or base_value <= 0:
-                continue
-            floor = base_value * (1.0 - max_regression)
-            if current[cell] < floor:
-                failures.append(
-                    f"{label} [{cell}]: {current[cell]:.2f} < "
-                    f"{floor:.2f} (baseline {base_value:.2f}, "
-                    f"allowed regression {max_regression:.0%})"
-                )
-    return failures
+def _display(row: Dict[str, object]) -> str:
+    kind = row["kind"]
+    if kind == "saturation":
+        return (
+            f"saturation N={row['n_replicas']}: {row['throughput_rps']:,.0f} rps "
+            f"({row['speedup_vs_1']:.2f}x, p99 {row['p99_ms']:.2f} ms)"
+        )
+    if kind == "hedge":
+        return (
+            f"hedge: p99 {row['p99_off_ms']:.1f} -> {row['p99_on_ms']:.1f} ms "
+            f"({row['p99_gain']:.2f}x gain, "
+            f"{row['hedges_launched']} launched / {row['hedges_won']} won)"
+        )
+    if kind == "swap":
+        return (
+            f"swap: {row['completed']}/{row['offered']} served, "
+            f"failed={row['failed']} shed={row['shed']} "
+            f"drained={row['drained']} -> {row['post_swap_model']}"
+        )
+    if kind == "kill":
+        return (
+            f"kill: {row['completed']}/{row['offered']} served, "
+            f"deaths={row['deaths']} rerouted={row['rerouted']} "
+            f"failed={row['failed']}"
+        )
+    return (
+        f"autoscale: peak {row['peak_replicas']} replicas "
+        f"({row['scale_ups']} up / {row['scale_downs']} down), "
+        f"final {row['replicas_final']}"
+    )
 
 
-def write_report(report: Dict[str, object], path) -> str:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return str(path)
-
-
-def load_report(path) -> Dict[str, object]:
-    with open(path) as fh:
-        return json.load(fh)
+SUITE = Suite(
+    name="cluster",
+    schema=SCHEMA,
+    run=run_cluster_bench,
+    fields={
+        "saturation": dict.fromkeys(("n_replicas", "throughput_rps", "p99_ms",
+                                     "speedup_vs_1", "p99_ratio_vs_1")),
+        "hedge": dict.fromkeys(("p99_off_ms", "p99_on_ms", "p99_gain",
+                                "hedges_launched")),
+        "swap": dict.fromkeys(("offered", "completed", "failed", "shed",
+                               "drained")),
+        "kill": dict.fromkeys(("offered", "completed", "failed", "deaths",
+                               "rerouted")),
+        "autoscale": dict.fromkeys(("scale_ups", "scale_downs",
+                                    "replicas_final")),
+    },
+    # The two headline ratios are fenced: scaling per fleet size, hedge gain.
+    keys={"saturation": ("n_replicas",)},
+    metrics=lambda row: {
+        "saturation": (("speedup_vs_1", HIGHER),),
+        "hedge": (("p99_gain", HIGHER),),
+    }.get(row["kind"], ()),
+    gates=enforce_gates,
+    display=_display,
+)

@@ -15,7 +15,8 @@ Two mechanisms, best one wins:
 * environment variables (``OMP_NUM_THREADS`` & friends) otherwise —
   honoured only by BLAS runtimes *not yet initialised*, so processes that
   want the fallback to bite must set limits before the first ``import
-  numpy`` (``benchmarks/bench_parallel.py`` does exactly this).
+  numpy`` (``python -m repro bench parallel`` measures in such a
+  pinned child interpreter).
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ Layering: this package sits on :mod:`repro.nn` and
 :mod:`repro.runtime`; it must not import :mod:`repro.train` or
 :mod:`repro.workloads` (enforced by ``tools/check_layering.py``).  The
 serving integration lives in :mod:`repro.cluster.shardrouter`, training
-integration in :class:`repro.train.ShardedTrainStep`, and the benchmark
-driver in :mod:`repro.bench.shardbench`.
+integration in :class:`repro.train.ShardedTrainStep` driven by
+:func:`repro.core.sharded.sharded_pretrain`, and the benchmark suite in
+:mod:`repro.bench.shardbench`.
 """
 
 from repro.shard.checkpoint import (

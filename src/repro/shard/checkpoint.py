@@ -9,7 +9,7 @@ shard count (via :func:`repro.runtime.checkpoint.require_shard_count`)
 — repartitioning moves parameters between shards, so a bit-identical
 resume is only possible into the same layout.
 
-The driver (:func:`repro.bench.shardbench.sharded_pretrain`) recreates
+The driver (:func:`repro.core.sharded.sharded_pretrain`) recreates
 the shard *structures* deterministically from the seed before loading,
 so this module only moves parameter bytes and validates headers.
 """

@@ -425,7 +425,7 @@ def _merge_mlp(shards: List[ModelShard]) -> DeepNetwork:
 def _partition_stack(model, n_shards: int, kind: str) -> List[ModelShard]:
     if not model.is_trained:
         raise ConfigurationError(
-            "stack has not been pre-trained yet; use repro.bench.shardbench."
+            "stack has not been pre-trained yet; use repro.core.sharded."
             "sharded_pretrain to train shards from scratch"
         )
     sizes = model.layer_sizes

@@ -423,7 +423,7 @@ def run_shard_chaos(quick: bool = True, seed: int = 0) -> List[dict]:
       synchronisation point resumes from its last epoch snapshot
       **bit-identically** versus an uninterrupted run.
     """
-    from repro.bench.shardbench import _model_params, sharded_pretrain
+    from repro.core.sharded import model_params, sharded_pretrain
     from repro.cluster.benchrun import drill_replica_config, replica_capacity_rps
     from repro.cluster.loadtest import ClusterLoadHarness
     from repro.cluster.shardrouter import ShardRouter
@@ -517,7 +517,7 @@ def run_shard_chaos(quick: bool = True, seed: int = 0) -> List[dict]:
         )
     diff = 0.0
     for a, b in zip(shards_base, shards_resumed):
-        for pa, pb in zip(_model_params(a.model), _model_params(b.model)):
+        for pa, pb in zip(model_params(a.model), model_params(b.model)):
             diff = max(diff, float(np.abs(pa - pb).max()))
         for ca, cb in zip(a.cross, b.cross):
             diff = max(diff, float(np.abs(ca.values - cb.values).max()))

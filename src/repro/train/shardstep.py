@@ -46,7 +46,7 @@ class ShardedTrainStep(TrainStep):
         Updates between exchanges; ``0`` disables them.
     after_apply:
         Optional per-shard zero-argument hooks run right after each
-        shard's ``apply`` — :mod:`repro.bench.shardbench` passes the
+        shard's ``apply`` — :mod:`repro.core.sharded` passes the
         cross-block decay closures here.
     """
 

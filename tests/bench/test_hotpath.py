@@ -1,18 +1,11 @@
-"""Tests for the hot-path benchmark harness (repro.bench.hotpath)."""
+"""Tests for the hot-path benchmark suite (repro.bench.hotpath)."""
 
 import copy
 
 import pytest
 
-from repro.bench.hotpath import (
-    EQUIV_TOL,
-    SCHEMA_ID,
-    compare_to_baseline,
-    load_report,
-    run_hotpath_bench,
-    validate_report,
-    write_report,
-)
+from repro.bench import suite as core
+from repro.bench.hotpath import EQUIV_TOL, SCHEMA_ID, SUITE, run_hotpath_bench
 from repro.errors import ConfigurationError
 
 TINY = ((4, 12, 6),)
@@ -40,7 +33,7 @@ class TestRunHotpathBench:
             assert row["max_abs_diff"] <= EQUIV_TOL
 
     def test_report_validates(self, report):
-        validate_report(report)
+        core.validate(SUITE, report)
 
 
 class TestValidateReport:
@@ -48,49 +41,49 @@ class TestValidateReport:
         bad = copy.deepcopy(report)
         bad["schema"] = "something/else"
         with pytest.raises(ConfigurationError, match="schema"):
-            validate_report(bad)
+            core.validate(SUITE, bad)
 
     def test_rejects_missing_field(self, report):
         bad = copy.deepcopy(report)
         del bad["rows"][0]["speedup"]
         with pytest.raises(ConfigurationError, match="speedup"):
-            validate_report(bad)
+            core.validate(SUITE, bad)
 
     def test_rejects_empty_rows(self, report):
         bad = copy.deepcopy(report)
         bad["rows"] = []
         with pytest.raises(ConfigurationError, match="rows"):
-            validate_report(bad)
+            core.validate(SUITE, bad)
 
     def test_rejects_equivalence_violation(self, report):
         bad = copy.deepcopy(report)
         bad["rows"][0]["max_abs_diff"] = 1e-3
         with pytest.raises(ConfigurationError, match="equivalence"):
-            validate_report(bad)
+            core.validate(SUITE, bad)
 
     def test_rejects_nonpositive_timing(self, report):
         bad = copy.deepcopy(report)
         bad["rows"][0]["fused_ms"] = 0.0
         with pytest.raises(ConfigurationError, match="fused_ms"):
-            validate_report(bad)
+            core.validate(SUITE, bad)
 
 
 class TestCompareToBaseline:
     def test_identical_report_passes(self, report):
-        assert compare_to_baseline(report, report) == []
+        assert core.compare_to_baseline(SUITE, report, report) == ([], [])
 
     def test_within_tolerance_passes(self, report):
         current = copy.deepcopy(report)
         for row in current["rows"]:
             row["speedup"] = round(row["speedup"] * 0.80, 4)  # -20% < 25%
-        assert compare_to_baseline(current, report, max_regression=0.25) == []
+        assert core.compare_to_baseline(SUITE, current, report) == ([], [])
 
     def test_regression_is_flagged(self, report):
         current = copy.deepcopy(report)
         current["rows"][0]["speedup"] = round(
             report["rows"][0]["speedup"] * 0.5, 4
         )
-        failures = compare_to_baseline(current, report, max_regression=0.25)
+        failures, _ = core.compare_to_baseline(SUITE, current, report)
         assert len(failures) == 1
         assert report["rows"][0]["model"] in failures[0]
 
@@ -98,14 +91,7 @@ class TestCompareToBaseline:
         current = copy.deepcopy(report)
         current["rows"][0]["batch"] = 999  # no matching baseline row
         current["rows"][0]["speedup"] = 0.01
-        assert compare_to_baseline(current, report) == []
-
-
-class TestReportIO:
-    def test_write_then_load_roundtrip(self, report, tmp_path):
-        path = str(tmp_path / "bench.json")
-        assert write_report(report, path) == path
-        assert load_report(path) == report
+        assert core.compare_to_baseline(SUITE, current, report) == ([], [])
 
 
 class TestCommittedBaseline:
@@ -117,8 +103,8 @@ class TestCommittedBaseline:
         )
         if not os.path.exists(path):
             pytest.skip("BENCH_hotpath.json not present")
-        baseline = load_report(path)
-        validate_report(baseline)
+        baseline = core.load(path)
+        core.validate(SUITE, baseline)
         paper_rows = [
             r for r in baseline["rows"]
             if (r["batch"], r["n_visible"], r["n_hidden"]) == (100, 4096, 1024)

@@ -5,7 +5,10 @@ import copy
 import pytest
 
 from repro.bench import parallel as bp
+from repro.bench import suite as core
 from repro.errors import ConfigurationError
+
+SUITE = bp.SUITE
 
 
 def _tiny_report():
@@ -22,7 +25,7 @@ def report():
 
 class TestRun:
     def test_schema_and_metadata(self, report):
-        bp.validate_report(report)
+        core.validate(SUITE, report)
         assert report["schema"] == bp.SCHEMA_ID
         assert report["n_cores"] >= 1
         assert report["equiv_tol"] == bp.EQUIV_TOL
@@ -69,6 +72,18 @@ class TestRun:
                     report["n_cores"] >= row["n_workers"]
                 )
 
+    def test_unpinned_process_measures_in_pinned_child(self, monkeypatch):
+        from repro.runtime.threads import BLAS_ENV_VARS
+
+        for var in BLAS_ENV_VARS:
+            monkeypatch.delenv(var, raising=False)
+        pinned = bp.measure_pinned(
+            shapes=[[16, 12, 8]], trials=1, inner=1, n_chunks=2, seed=0
+        )
+        core.validate(SUITE, pinned)
+        assert pinned["blas_budget_active"] is True
+        assert {r["kind"] for r in pinned["rows"]} == {"workers", "prefetch"}
+
     def test_workers_must_include_one(self):
         with pytest.raises(ConfigurationError):
             bp.run_parallel_bench(shapes=[(8, 6, 4)], workers=(2, 4), trials=1, inner=1)
@@ -97,31 +112,31 @@ class TestValidation:
         bad = copy.deepcopy(report)
         bad["schema"] = "other/v1"
         with pytest.raises(ConfigurationError, match="schema"):
-            bp.validate_report(bad)
+            core.validate(SUITE, bad)
 
     def test_rejects_missing_cores(self, report):
         bad = copy.deepcopy(report)
         del bad["n_cores"]
         with pytest.raises(ConfigurationError, match="n_cores"):
-            bp.validate_report(bad)
+            core.validate(SUITE, bad)
 
     def test_rejects_unknown_row_kind(self, report):
         bad = copy.deepcopy(report)
         bad["rows"][0]["kind"] = "mystery"
         with pytest.raises(ConfigurationError, match="kind"):
-            bp.validate_report(bad)
+            core.validate(SUITE, bad)
 
     def test_rejects_equivalence_violation(self, report):
         bad = copy.deepcopy(report)
         bad["rows"][0]["max_abs_diff"] = 1e-3
         with pytest.raises(ConfigurationError, match="equivalence"):
-            bp.validate_report(bad)
+            core.validate(SUITE, bad)
 
     def test_rejects_missing_row_kind_coverage(self, report):
         bad = copy.deepcopy(report)
         bad["rows"] = [r for r in bad["rows"] if r["kind"] == "workers"]
-        with pytest.raises(ConfigurationError, match="both row kinds"):
-            bp.validate_report(bad)
+        with pytest.raises(ConfigurationError, match="missing row kinds"):
+            core.validate(SUITE, bad)
 
     def test_rejects_nonpositive_timing(self, report):
         bad = copy.deepcopy(report)
@@ -130,21 +145,21 @@ class TestValidation:
                 row["ms"] = 0.0
                 break
         with pytest.raises(ConfigurationError, match="positive"):
-            bp.validate_report(bad)
+            core.validate(SUITE, bad)
 
     def test_rejects_missing_regime_flags(self, report):
         for flag in ("gil_enabled", "free_threaded", "blas_budget_active"):
             bad = copy.deepcopy(report)
             del bad[flag]
             with pytest.raises(ConfigurationError, match=flag):
-                bp.validate_report(bad)
+                core.validate(SUITE, bad)
 
     def test_rejects_threadpoolctl_claim_without_active_budget(self, report):
         bad = copy.deepcopy(report)
         bad["have_threadpoolctl"] = True
         bad["blas_budget_active"] = False
         with pytest.raises(ConfigurationError, match="threadpoolctl"):
-            bp.validate_report(bad)
+            core.validate(SUITE, bad)
 
     def test_rejects_missing_scaling_tag(self, report):
         bad = copy.deepcopy(report)
@@ -152,7 +167,7 @@ class TestValidation:
             if row["kind"] == "workers":
                 del row["expected_scaling"]
         with pytest.raises(ConfigurationError, match="expected_scaling"):
-            bp.validate_report(bad)
+            core.validate(SUITE, bad)
 
     def test_rejects_unknown_engine_in_row(self, report):
         bad = copy.deepcopy(report)
@@ -161,7 +176,7 @@ class TestValidation:
                 row["engine"] = "gpu"
                 break
         with pytest.raises(ConfigurationError, match="engine"):
-            bp.validate_report(bad)
+            core.validate(SUITE, bad)
 
     def test_rejects_report_without_thread_rows(self, report):
         bad = copy.deepcopy(report)
@@ -173,7 +188,7 @@ class TestValidation:
         if not any(r["kind"] == "workers" for r in bad["rows"]):
             pytest.skip("no process rows on this platform")
         with pytest.raises(ConfigurationError, match="thread"):
-            bp.validate_report(bad)
+            core.validate(SUITE, bad)
 
 
 def _retag(r, expected_scaling):
@@ -194,7 +209,7 @@ class TestGates:
         for row in r["rows"]:
             if row["kind"] == "workers" and row["n_workers"] >= 2:
                 row["speedup"] = 0.5  # would fail — but must be skipped
-        failures, skipped = bp.enforce_gates(r, min_speedup=1.3)
+        failures, skipped = bp.enforce_gates(r)
         assert failures == []
         assert skipped and "expected_scaling=false" in skipped[0]
         assert "1 core" in skipped[0]
@@ -211,7 +226,7 @@ class TestGates:
             if row["kind"] == "workers" and row["n_workers"] >= 2:
                 row["speedup"] = 1.1
                 row["vs_serial"] = 1.1
-        failures, skipped = bp.enforce_gates(r, min_speedup=1.3)
+        failures, skipped = bp.enforce_gates(r)
         assert skipped == []
         assert failures and "W=2" in failures[0]
 
@@ -229,7 +244,7 @@ class TestGates:
             # ... but the process engine loses to serial: must still fail.
             if row["kind"] == "workers" and row["engine"] == "process":
                 row["vs_serial"] = 0.9
-        failures, _ = bp.enforce_gates(r, min_speedup=1.3)
+        failures, _ = bp.enforce_gates(r)
         assert failures and all("vs_serial" in f for f in failures)
         assert all("process" in f for f in failures)
 
@@ -242,7 +257,7 @@ class TestGates:
         for row in r["rows"]:
             if row["kind"] == "prefetch":
                 row["speedup"] = 1.05
-        failures, _ = bp.enforce_gates(r, min_speedup=1.3)
+        failures, _ = bp.enforce_gates(r)
         assert failures and "prefetch" in failures[0]
 
     def test_all_gates_pass_on_good_multicore_report(self, report):
@@ -254,13 +269,13 @@ class TestGates:
                 row["speedup"] = 1.8
             if row["kind"] == "workers":
                 row["vs_serial"] = 1.8
-        failures, skipped = bp.enforce_gates(r, min_speedup=1.3)
+        failures, skipped = bp.enforce_gates(r)
         assert failures == [] and skipped == []
 
 
 class TestBaselineComparison:
     def test_no_regression_against_self(self, report):
-        failures, _ = bp.compare_to_baseline(report, report)
+        failures, _ = core.compare_to_baseline(SUITE, report, report)
         assert failures == []
 
     def test_flags_prefetch_regression(self, report):
@@ -268,7 +283,7 @@ class TestBaselineComparison:
         for row in current["rows"]:
             if row["kind"] == "prefetch":
                 row["speedup"] = row["speedup"] * 0.5
-        failures, _ = bp.compare_to_baseline(current, report, max_regression=0.25)
+        failures, _ = core.compare_to_baseline(SUITE, current, report)
         assert failures and "prefetch" in failures[0]
 
     def test_untagged_worker_rows_skipped_with_note(self, report):
@@ -277,9 +292,7 @@ class TestBaselineComparison:
         for row in current["rows"]:
             if row["kind"] == "workers":
                 row["speedup"] = 0.1  # huge regression — must be skipped
-        failures, skipped = bp.compare_to_baseline(
-            current, report, max_regression=0.25
-        )
+        failures, skipped = core.compare_to_baseline(SUITE, current, report)
         assert all("workers" not in f for f in failures)
         assert skipped and all("expected_scaling=false" in n for n in skipped)
         assert all("report" in n for n in skipped)  # names which side
@@ -289,9 +302,7 @@ class TestBaselineComparison:
         _retag(base, False)
         current = copy.deepcopy(report)
         _retag(current, True)
-        failures, skipped = bp.compare_to_baseline(
-            current, base, max_regression=0.25
-        )
+        failures, skipped = core.compare_to_baseline(SUITE, current, base)
         assert all("workers" not in f for f in failures)
         assert skipped and all("baseline" in n for n in skipped)
 
@@ -303,9 +314,7 @@ class TestBaselineComparison:
         for row in current["rows"]:
             if row["kind"] == "workers" and row["n_workers"] >= 2:
                 row["speedup"] = row["speedup"] * 0.1
-        failures, skipped = bp.compare_to_baseline(
-            current, base, max_regression=0.25
-        )
+        failures, skipped = core.compare_to_baseline(SUITE, current, base)
         assert failures
         assert skipped == []
 
@@ -319,7 +328,7 @@ class TestBaselineComparison:
         for row in current["rows"]:
             if row["kind"] == "workers" and row["engine"] == "process":
                 row["vs_serial"] = row["vs_serial"] * 0.1
-        failures, _ = bp.compare_to_baseline(current, base, max_regression=0.25)
+        failures, _ = core.compare_to_baseline(SUITE, current, base)
         assert failures and all("vs_serial" in f for f in failures)
 
     def test_unknown_shape_is_not_compared(self, report):
@@ -327,22 +336,25 @@ class TestBaselineComparison:
         for row in current["rows"]:
             row["n_chunks"] = row.get("n_chunks", 0) + 99
             row["batch"] = row["batch"] + 99
-        assert bp.compare_to_baseline(current, report) == ([], [])
+        failures, skipped = core.compare_to_baseline(SUITE, current, report)
+        # no row matches, so the fence compared nothing: that must fail
+        assert skipped == []
+        assert len(failures) == 1 and "nothing was compared" in failures[0]
 
 
 class TestRoundTrip:
     def test_write_then_load(self, report, tmp_path):
         path = str(tmp_path / "BENCH_parallel.json")
-        assert bp.write_report(report, path) == path
-        loaded = bp.load_report(path)
-        bp.validate_report(loaded)
+        assert core.write(SUITE, report, path) == path
+        loaded = core.load(path)
+        core.validate(SUITE, loaded)
         assert loaded == report
 
     def test_write_rejects_invalid(self, report, tmp_path):
         bad = copy.deepcopy(report)
         bad["schema"] = "nope"
         with pytest.raises(ConfigurationError):
-            bp.write_report(bad, str(tmp_path / "x.json"))
+            core.write(SUITE, bad, str(tmp_path / "x.json"))
 
 
 class TestCommittedBaseline:
@@ -354,7 +366,7 @@ class TestCommittedBaseline:
         )
         if not os.path.exists(path):
             pytest.skip("BENCH_parallel.json not present")
-        report = bp.load_report(path)
-        bp.validate_report(report)
-        failures, _skipped = bp.enforce_gates(report, min_speedup=bp.MIN_SPEEDUP)
+        report = core.load(path)
+        core.validate(SUITE, report)
+        failures, _skipped = bp.enforce_gates(report)
         assert failures == []

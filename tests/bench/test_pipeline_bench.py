@@ -5,7 +5,10 @@ import copy
 import pytest
 
 import repro.bench.pipeline as bp
+from repro.bench import suite as core
 from repro.errors import ConfigurationError
+
+SUITE = bp.SUITE
 
 TINY_SHAPE = dict(n=32, n_visible=12, layers=(8, 12), epochs=2, batch=16)
 
@@ -17,7 +20,7 @@ def report():
 
 class TestReportShape:
     def test_schema_and_rows(self, report):
-        bp.validate_report(report)
+        core.validate(SUITE, report)
         kinds = [r["kind"] for r in report["rows"]]
         assert kinds.count("walltime") == 1
         assert kinds.count("convergence") == len(TINY_SHAPE["layers"])
@@ -40,15 +43,11 @@ class TestReportShape:
             r["within_tol"] for r in report["rows"] if r["kind"] == "convergence"
         )
 
-    def test_roundtrip(self, report, tmp_path):
-        path = bp.write_report(report, str(tmp_path / "r.json"))
-        assert bp.load_report(path) == report
-
     def test_validate_rejects_wrong_schema(self, report):
         bad = copy.deepcopy(report)
         bad["schema"] = "something/v0"
         with pytest.raises(ConfigurationError, match="schema"):
-            bp.validate_report(bad)
+            core.validate(SUITE, bad)
 
     def test_validate_rejects_missing_scaling_tag(self, report):
         bad = copy.deepcopy(report)
@@ -56,7 +55,7 @@ class TestReportShape:
             if row["kind"] == "walltime":
                 del row["expected_scaling"]
         with pytest.raises(ConfigurationError, match="expected_scaling"):
-            bp.validate_report(bad)
+            core.validate(SUITE, bad)
 
 
 class TestGates:
@@ -66,7 +65,7 @@ class TestGates:
         for row in forced["rows"]:
             if row["kind"] == "walltime":
                 row["expected_scaling"] = False
-        failures, skipped = bp.enforce_gates(forced, min_speedup=100.0)
+        failures, skipped = bp.enforce_gates(forced)
         assert failures == []
         assert len(skipped) == 1 and "skipped" in skipped[0]
 
@@ -77,7 +76,7 @@ class TestGates:
             if row["kind"] == "walltime":
                 row["expected_scaling"] = True
                 row["speedup"] = 1.1
-        failures, skipped = bp.enforce_gates(forced, min_speedup=1.3)
+        failures, skipped = bp.enforce_gates(forced)
         assert len(failures) == 1 and "1.10x" in failures[0]
         assert skipped == []
 
@@ -86,19 +85,19 @@ class TestGates:
         for row in forced["rows"]:
             if row["kind"] == "convergence" and row["layer"] == 1:
                 row["within_tol"] = False
-        failures, _ = bp.enforce_gates(forced, min_speedup=0.0)
+        failures, _ = bp.enforce_gates(forced)
         assert any("convergence layer 1" in f for f in failures)
 
 
 class TestBaselineComparison:
     def test_no_regression_against_self(self, report):
-        failures, _ = bp.compare_to_baseline(report, report)
+        failures, _ = core.compare_to_baseline(SUITE, report, report)
         assert failures == []
 
     def test_single_core_comparison_is_skipped_with_note(self, report):
         if report["n_cores"] >= 2:
             pytest.skip("requires a single-core measurement")
-        failures, skipped = bp.compare_to_baseline(report, report)
+        failures, skipped = core.compare_to_baseline(SUITE, report, report)
         assert failures == []
         assert any("skipped" in note for note in skipped)
 
@@ -116,16 +115,16 @@ class TestBaselineComparison:
         for row in cur["rows"]:
             if row["kind"] == "walltime":
                 row["speedup"] = 1.2  # below 2.0 * (1 - 0.25)
-        failures, skipped = bp.compare_to_baseline(cur, base)
+        failures, skipped = core.compare_to_baseline(SUITE, cur, base)
         assert len(failures) == 1 and "floor" in failures[0]
         assert skipped == []
 
 
 class TestCommittedBaseline:
     def test_committed_report_is_valid_and_gated(self):
-        report = bp.load_report("BENCH_pipeline.json")
-        bp.validate_report(report)
-        failures, skipped = bp.enforce_gates(report, min_speedup=bp.MIN_SPEEDUP)
+        report = core.load("BENCH_pipeline.json")
+        core.validate(SUITE, report)
+        failures, skipped = bp.enforce_gates(report)
         assert failures == []
         # The committed baseline was measured on a 1-core container, so
         # its walltime gate must be recorded as explicitly skipped there;

@@ -10,7 +10,7 @@ streams and the exchange cadence must all survive the crash.
 import numpy as np
 import pytest
 
-from repro.bench.shardbench import sharded_pretrain
+from repro.core.sharded import sharded_pretrain
 from repro.nn.stacked import DeepBeliefNetwork, LayerSpec, StackedAutoencoder
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.executor import ParallelGradientEngine

@@ -1,19 +1,33 @@
-"""Tests for repro.cluster.benchrun — schema, gates, baseline compare."""
+"""Tests for repro.cluster.benchrun — the cluster suite's schema, gates, fence."""
 
 import pytest
 
+from repro.bench import suite as core
 from repro.cluster.benchrun import (
     SCHEMA,
-    compare_to_baseline,
+    SUITE,
     drill_replica_config,
     enforce_gates,
-    load_report,
     replica_capacity_rps,
     run_saturation_sweep,
-    validate_report,
-    write_report,
 )
 from repro.errors import ConfigurationError
+
+
+def validate_report(report):
+    core.validate(SUITE, report)
+
+
+def compare_to_baseline(report, baseline):
+    failures, skipped = core.compare_to_baseline(SUITE, report, baseline)
+    assert skipped == []
+    return failures
+
+
+def gate_failures(report):
+    failures, skipped = enforce_gates(report)
+    assert skipped == []
+    return failures
 
 
 def saturation_row(n, speedup, p99_ratio=1.0):
@@ -84,40 +98,36 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="autoscale"):
             validate_report(report)
 
-    def test_roundtrip_through_disk(self, tmp_path):
-        path = tmp_path / "bench.json"
-        write_report(synthetic_report(), path)
-        validate_report(load_report(path))
 
 
 class TestGates:
     def test_clean_report_passes(self):
-        assert enforce_gates(synthetic_report()) == []
+        assert gate_failures(synthetic_report()) == []
 
     def test_scaling_floor(self):
-        failures = enforce_gates(synthetic_report(scaling=2.4))
+        failures = gate_failures(synthetic_report(scaling=2.4))
         assert any("speedup" in f for f in failures)
 
     def test_p99_inflation(self):
-        failures = enforce_gates(synthetic_report(p99_ratio=1.5))
+        failures = gate_failures(synthetic_report(p99_ratio=1.5))
         assert any("p99 ratio" in f for f in failures)
 
     def test_hedge_floor(self):
-        failures = enforce_gates(synthetic_report(hedge_gain=1.2))
+        failures = gate_failures(synthetic_report(hedge_gain=1.2))
         assert any("hedge" in f for f in failures)
 
     def test_swap_contract(self):
-        failures = enforce_gates(synthetic_report(swap_failed=3))
+        failures = gate_failures(synthetic_report(swap_failed=3))
         assert any("zero-downtime" in f for f in failures)
 
     def test_kill_contract(self):
-        failures = enforce_gates(synthetic_report(kill_failed=1))
+        failures = gate_failures(synthetic_report(kill_failed=1))
         assert any("fail-over" in f for f in failures)
-        failures = enforce_gates(synthetic_report(deaths=0))
+        failures = gate_failures(synthetic_report(deaths=0))
         assert any("deaths=0" in f for f in failures)
 
     def test_autoscale_contract(self):
-        failures = enforce_gates(synthetic_report(scale_ups=0))
+        failures = gate_failures(synthetic_report(scale_ups=0))
         assert any("autoscale" in f for f in failures)
 
 
@@ -128,18 +138,16 @@ class TestBaselineCompare:
     def test_scaling_regression_flagged(self):
         current = synthetic_report(scaling=2.0)
         failures = compare_to_baseline(current, synthetic_report(scaling=3.5))
-        assert any("saturation speedup [4]" in f for f in failures)
+        assert any("saturation n_replicas=4: speedup_vs_1" in f for f in failures)
 
     def test_hedge_regression_flagged(self):
         current = synthetic_report(hedge_gain=1.0)
         failures = compare_to_baseline(current, synthetic_report(hedge_gain=2.0))
-        assert any("hedge p99 gain" in f for f in failures)
+        assert any("hedge: p99_gain" in f for f in failures)
 
     def test_within_allowance_passes(self):
         current = synthetic_report(scaling=3.0)
-        assert compare_to_baseline(
-            current, synthetic_report(scaling=3.5), max_regression=0.25
-        ) == []
+        assert compare_to_baseline(current, synthetic_report(scaling=3.5)) == []
 
 
 class TestRealDrillPlumbing:

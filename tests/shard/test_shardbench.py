@@ -1,20 +1,34 @@
-"""shard-bench report plumbing: schema, gates, baseline regression fence."""
+"""The shard suite: schema, gates, baseline regression fence."""
 
 import copy
 
 import pytest
 
+from repro.bench import suite as core
 from repro.bench.shardbench import (
     SCHEMA,
-    compare_to_baseline,
+    SUITE,
     enforce_gates,
-    load_report,
     run_parity_rows,
     run_pretrain_drill,
-    validate_report,
-    write_report,
 )
 from repro.errors import ConfigurationError
+
+
+def validate_report(report):
+    core.validate(SUITE, report)
+
+
+def compare_to_baseline(report, baseline):
+    failures, skipped = core.compare_to_baseline(SUITE, report, baseline)
+    assert skipped == []
+    return failures
+
+
+def gate_failures(report):
+    failures, skipped = enforce_gates(report)
+    assert skipped == []
+    return failures
 
 
 def _report():
@@ -72,7 +86,7 @@ class TestValidate:
     def test_missing_drill_kind_rejected(self):
         bad = _report()
         bad["rows"] = [r for r in bad["rows"] if r["kind"] != "shard_kill"]
-        with pytest.raises(ConfigurationError, match="missing drill kinds"):
+        with pytest.raises(ConfigurationError, match="missing row kinds"):
             validate_report(bad)
 
     def test_empty_rows_rejected(self):
@@ -82,31 +96,31 @@ class TestValidate:
 
 class TestGates:
     def test_clean_report_passes(self):
-        assert enforce_gates(_report()) == []
+        assert gate_failures(_report()) == []
 
     def test_parity_breach_fails(self):
         bad = _report()
         bad["rows"][0]["step_max_abs"] = 1e-6
-        failures = enforce_gates(bad)
+        failures = gate_failures(bad)
         assert any("step_max_abs" in f for f in failures)
 
     def test_resume_divergence_fails(self):
         bad = _report()
         bad["rows"][1]["resume_max_abs"] = 1e-3
-        assert any("diverged" in f for f in enforce_gates(bad))
+        assert any("diverged" in f for f in gate_failures(bad))
 
     def test_serving_failure_and_p99_gate(self):
         bad = _report()
         bad["rows"][2]["failed"] = 3
         bad["rows"][2]["p99_ratio"] = 2.0
-        failures = enforce_gates(bad)
+        failures = gate_failures(bad)
         assert any("request(s) failed" in f for f in failures)
         assert any("p99" in f for f in failures)
 
     def test_shard_kill_contract(self):
         bad = _report()
         bad["rows"][3]["degraded_requests"] = 0
-        assert any("degraded-mode" in f for f in enforce_gates(bad))
+        assert any("degraded-mode" in f for f in gate_failures(bad))
 
 
 class TestBaseline:
@@ -117,36 +131,36 @@ class TestBaseline:
         current["rows"][2]["throughput_rps"] = (
             base["rows"][2]["throughput_rps"] * 0.9
         )
-        assert compare_to_baseline(current, base, max_regression=0.25) == []
+        assert compare_to_baseline(current, base) == []
 
     def test_p99_regression_caught(self):
         current = _report()
         base = copy.deepcopy(current)
         current["rows"][2]["p99_ratio"] = 2.0
-        failures = compare_to_baseline(current, base, max_regression=0.25)
+        failures = compare_to_baseline(current, base)
         assert any("p99" in f for f in failures)
 
     def test_throughput_regression_caught(self):
         current = _report()
         base = copy.deepcopy(current)
         current["rows"][2]["throughput_rps"] = 1000.0
-        failures = compare_to_baseline(current, base, max_regression=0.25)
+        failures = compare_to_baseline(current, base)
         assert any("throughput" in f for f in failures)
 
 
 class TestRoundTrip:
     def test_write_then_load_then_validate(self, tmp_path):
         path = tmp_path / "report.json"
-        write_report(_report(), path)
-        validate_report(load_report(path))
+        core.write(SUITE, _report(), path)
+        validate_report(core.load(path))
 
     def test_committed_artifact_is_valid_and_gated(self):
         from pathlib import Path
 
         artifact = Path(__file__).resolve().parents[2] / "BENCH_shard.json"
-        report = load_report(artifact)
+        report = core.load(artifact)
         validate_report(report)
-        assert enforce_gates(report) == []
+        assert gate_failures(report) == []
 
 
 class TestLiveRows:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bench.shardbench import _max_abs, _model_params, sharded_pretrain
+from repro.core.sharded import model_params, sharded_pretrain
 from repro.errors import ConfigurationError
 from repro.nn.stacked import DeepBeliefNetwork, LayerSpec, StackedAutoencoder
 from repro.runtime.checkpoint import CheckpointError, CheckpointStore
@@ -23,10 +23,14 @@ def _sae():
     return StackedAutoencoder(12, SPECS, seed=5)
 
 
+def _max_abs(a, b):
+    return float(np.max(np.abs(a - b))) if a.size else 0.0
+
+
 def _shard_diff(a, b):
     worst = 0.0
     for sa, sb in zip(a, b):
-        for pa, pb in zip(_model_params(sa.model), _model_params(sb.model)):
+        for pa, pb in zip(model_params(sa.model), model_params(sb.model)):
             worst = max(worst, _max_abs(pa, pb))
         for ca, cb in zip(sa.cross, sb.cross):
             worst = max(worst, _max_abs(ca.values, cb.values))
@@ -41,7 +45,7 @@ class TestCascade:
         sharded_pretrain(sharded, x, 1)
         assert all(
             _max_abs(a, b) == 0.0
-            for a, b in zip(_model_params(ref), _model_params(sharded))
+            for a, b in zip(model_params(ref), model_params(sharded))
         )
         assert ref.layer_errors == sharded.layer_errors
 
@@ -53,7 +57,7 @@ class TestCascade:
         sharded_pretrain(sharded, binary, 1)
         assert all(
             _max_abs(a, b) == 0.0
-            for a, b in zip(_model_params(ref), _model_params(sharded))
+            for a, b in zip(model_params(ref), model_params(sharded))
         )
 
     def test_template_holds_merged_blocks_after_training(self, x):
@@ -63,7 +67,7 @@ class TestCascade:
         rebuilt = merge(shards)
         assert all(
             _max_abs(a, b) == 0.0
-            for a, b in zip(_model_params(stack), _model_params(rebuilt))
+            for a, b in zip(model_params(stack), model_params(rebuilt))
         )
 
     def test_deterministic_across_runs(self, x):

@@ -15,11 +15,11 @@ from repro.bench.shardbench import (
     _max_abs,
     _mlp_forward_parity,
     _mlp_step_parity,
-    _model_params,
     _rbm_step_parity,
     _sae_step_parity,
     _stack_forward_parity,
 )
+from repro.core.sharded import model_params
 from repro.errors import ConfigurationError
 from repro.nn.mlp import DeepNetwork
 from repro.nn.stacked import DeepBeliefNetwork, LayerSpec, StackedAutoencoder
@@ -65,19 +65,19 @@ class TestRoundTrip:
     @pytest.mark.parametrize("n", SHARD_COUNTS)
     def test_sae_partition_merge_is_identity(self, sae, n):
         rebuilt = merge(partition(sae, n))
-        for a, b in zip(_model_params(sae), _model_params(rebuilt)):
+        for a, b in zip(model_params(sae), model_params(rebuilt)):
             assert _max_abs(a, b) == 0.0
 
     @pytest.mark.parametrize("n", SHARD_COUNTS)
     def test_dbn_partition_merge_is_identity(self, dbn, n):
         rebuilt = merge(partition(dbn, n))
-        for a, b in zip(_model_params(dbn), _model_params(rebuilt)):
+        for a, b in zip(model_params(dbn), model_params(rebuilt)):
             assert _max_abs(a, b) == 0.0
 
     @pytest.mark.parametrize("n", SHARD_COUNTS)
     def test_mlp_partition_merge_is_identity(self, mlp, n):
         rebuilt = merge(partition(mlp, n))
-        for a, b in zip(_model_params(mlp), _model_params(rebuilt)):
+        for a, b in zip(model_params(mlp), model_params(rebuilt)):
             assert _max_abs(a, b) == 0.0
 
     def test_model_partition_method_delegates(self, sae, mlp):

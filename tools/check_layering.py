@@ -28,7 +28,9 @@ fails the build when a package reaches *down* the wrong way:
   import the training loop, the cluster tier, or the workloads layer
   above it — ``repro.cluster`` may import ``repro.shard`` (the
   ``ShardRouter`` composes shard servables), never the reverse, and the
-  sharded *training* driver lives in ``repro.bench.shardbench``.
+  sharded *training* driver lives in ``repro.core.sharded`` (it needs
+  both ``repro.shard`` and ``repro.train``; shard↛train and train↛nn
+  rule out either package as its home).
 
 Every import statement counts, module-level or function-level, so a
 "lazy" import cannot smuggle a forbidden edge in.
