@@ -38,8 +38,9 @@ everywhere — overlapping a sleeping loader needs no second core.
 Metadata records the concurrency regime of the measurement:
 ``gil_enabled``/``free_threaded`` (PEP 703 audit, see
 :mod:`repro.runtime.freethreading`) and ``blas_budget_active`` (whether
-BLAS pools were actually cappable — threadpoolctl loaded, or the env
-fallback pinned before NumPy import).  Validation rejects a
+BLAS pools were actually cappable — threadpoolctl loaded, the bundled
+OpenBLAS reachable through ctypes, or the env fallback pinned before
+NumPy import).  Validation rejects a
 report claiming threadpoolctl was importable but budgeting inactive.
 """
 
@@ -62,6 +63,7 @@ from repro.bench.suite import (
     check_equivalence,
 )
 from repro.errors import ConfigurationError
+from repro.runtime.procexec import AUTO_MIN_SPEEDUP
 
 SCHEMA_ID = "repro.bench_parallel/v3"
 
@@ -75,8 +77,9 @@ QUICK_SHAPES: Tuple[Tuple[int, int, int], ...] = ((128, 512, 256),)
 #: Equivalence gate: parallel reduction vs serial gradients (ISSUE 3).
 EQUIV_TOL = 1e-10
 
-#: Speedup floor of the gates (W=2 and prefetch rows).
-MIN_SPEEDUP = 1.3
+#: Speedup floor of the gates (W=2 and prefetch rows); ``make_engine("auto")``
+#: asks the same margin of its probe.
+MIN_SPEEDUP = AUTO_MIN_SPEEDUP
 
 #: Engine backends measured by default (process is dropped with a
 #: metadata note on platforms without POSIX shared memory).
@@ -104,13 +107,14 @@ def _time_min(fn, trials: int, inner: int) -> float:
 def blas_budget_active() -> bool:
     """Can this process actually cap the BLAS pools?
 
-    True when threadpoolctl is importable (limits apply to live pools) or
-    when every BLAS env knob was pinned — which only bites if it happened
-    before NumPy loaded, as :func:`measure_pinned` arranges.
+    True when a limit reaches the live pools (threadpoolctl, or the
+    bundled OpenBLAS through ctypes) or when every BLAS env knob was
+    pinned — which only bites if it happened before NumPy loaded, as
+    :func:`measure_pinned` arranges.
     """
-    from repro.runtime.threads import BLAS_ENV_VARS, HAVE_THREADPOOLCTL
+    from repro.runtime.threads import BLAS_ENV_VARS, live_blas_budget
 
-    if HAVE_THREADPOOLCTL:
+    if live_blas_budget():
         return True
     return all(var in os.environ for var in BLAS_ENV_VARS)
 

@@ -27,7 +27,7 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.workspace import Workspace
 from repro.train.callbacks import TrainingCallback
-from repro.train.loop import EVENT_LOG_KEY, EventLog, TrainLoop, TrainStep
+from repro.train.loop import EVENT_LOG_KEY, EventLog, TrainLoop, TrainStep, twin_of
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_int, check_positive
 
@@ -64,6 +64,12 @@ class _SupervisedStep(TrainStep):
 
     def load(self, idx):
         return (self.x[idx], self.targets[idx])
+
+    def blas_twin(self) -> TrainStep:
+        return twin_of(self, (self.x, self.targets, self.labels), self.ws)
+
+    def shape_key(self, batch):
+        return super().shape_key(batch) + (tuple(self.network.layer_sizes),)
 
     def compute(self, batch):
         xb, tb = batch

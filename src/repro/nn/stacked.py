@@ -38,7 +38,7 @@ from repro.runtime.checkpoint import (
     restore_rng_into,
 )
 from repro.runtime.workspace import Workspace
-from repro.train.loop import EVENT_LOG_KEY, EventLog, TrainLoop, TrainStep
+from repro.train.loop import EVENT_LOG_KEY, EventLog, TrainLoop, TrainStep, twin_of
 from repro.utils.rng import SeedLike, spawn_generators
 from repro.utils.validation import check_matrix_shapes
 
@@ -77,6 +77,12 @@ class _BlockStep(TrainStep):
 
     def load(self, idx: np.ndarray) -> np.ndarray:
         return self.x[idx]
+
+    def blas_twin(self) -> TrainStep:
+        return twin_of(self, (self.x,), self.ws)
+
+    def shape_key(self, batch):
+        return super().shape_key(batch) + (self.spec.n_hidden,)
 
 
 class _SAEBlockStep(_BlockStep):

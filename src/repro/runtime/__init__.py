@@ -45,7 +45,10 @@ from repro.runtime.workspace import Workspace, WorkspaceFrozenError, WorkspaceTh
 from repro.runtime.threads import (
     HAVE_THREADPOOLCTL,
     available_cores,
+    blas_mechanism,
     blas_thread_limit,
+    current_blas_threads,
+    measured_blas_threads,
     recommended_blas_threads,
 )
 from repro.runtime.executor import (
@@ -114,7 +117,10 @@ __all__ = [
     "WorkspaceThreadError",
     "HAVE_THREADPOOLCTL",
     "available_cores",
+    "blas_mechanism",
     "blas_thread_limit",
+    "current_blas_threads",
+    "measured_blas_threads",
     "recommended_blas_threads",
     "ChunkPrefetcher",
     "ExecutorClosedError",

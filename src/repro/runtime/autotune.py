@@ -61,19 +61,27 @@ def autotune_threads(
     spec: MachineSpec,
     candidates: Optional[Sequence[int]] = None,
     refine: bool = True,
+    tolerance: float = 0.0,
 ) -> TuningResult:
     """Pick the thread count minimising ``evaluate(n_threads)``.
 
     Parameters
     ----------
     evaluate:
-        Maps a thread count to simulated seconds (deterministic).
+        Maps a thread count to seconds: simulated (deterministic), or
+        measured on the wall clock.
     candidates:
         Thread counts to try; defaults to :func:`default_thread_ladder`.
     refine:
         After the sweep, probe the midpoints between the winner and its
         ladder neighbours (cheap local refinement).
+    tolerance:
+        Pick the *fewest* threads whose time is within ``1 + tolerance``
+        of the fastest, so more threads must win by a margin — what a
+        noisy wall-clock evaluation needs.  ``0`` keeps the fastest.
     """
+    if tolerance < 0:
+        raise ConfigurationError(f"tolerance must be >= 0, got {tolerance}")
     ladder = list(candidates) if candidates is not None else default_thread_ladder(spec)
     if not ladder:
         raise ConfigurationError("no candidate thread counts to evaluate")
@@ -98,6 +106,10 @@ def autotune_threads(
                 samples.append(sample)
                 if sample.seconds < best.seconds:
                     best = sample
+
+    if tolerance > 0:
+        near = [s for s in samples if s.seconds <= best.seconds * (1.0 + tolerance)]
+        best = min(near, key=lambda s: s.n_threads)
 
     return TuningResult(
         best_threads=best.n_threads, best_seconds=best.seconds, samples=samples

@@ -180,10 +180,7 @@ class ParallelGradientEngine:
                 recommended_blas_threads(self.n_workers) if self.n_workers > 1 else None
             )
         self.blas_threads = blas_threads
-        self._blas_guard = None
-        if blas_threads is not None:
-            self._blas_guard = blas_thread_limit(blas_threads)
-            self._blas_guard.__enter__()
+        self._blas_guard = blas_thread_limit(blas_threads).__enter__()
         self._slots = [_WorkerSlot(i, self.name) for i in range(self.n_workers)]
         self._streams = spawn_streams(seed, self.n_workers)
         self._coord_ws = Workspace(name=f"{self.name}.coordinator")
@@ -204,9 +201,7 @@ class ParallelGradientEngine:
             slot.shutdown()
         for slot in self._slots:
             slot.join()
-        if self._blas_guard is not None:
-            self._blas_guard.__exit__(None, None, None)
-            self._blas_guard = None
+        self._blas_guard.__exit__(None, None, None)
 
     def __enter__(self) -> "ParallelGradientEngine":
         return self

@@ -62,14 +62,16 @@ GIL_AUDIT = (
     },
     {
         "module": "repro.runtime.threads",
-        "symbol": "blas_thread_limit (env-var fallback)",
-        "risk": "needs-work",
+        "symbol": "blas_thread_limit scope ledger + measured counts",
+        "risk": "guarded",
         "note": (
-            "Without threadpoolctl the fallback mutates os.environ "
-            "process-wide; two engines opening concurrently on different "
-            "threads race on the save/restore. Benign today (engines are "
-            "opened from one coordinator thread); a free-threaded build "
-            "should route through threadpoolctl or take a module lock."
+            "The BLAS pools and the env-var fallback are process-wide; "
+            "every scope registers with one ledger under a module lock, "
+            "which applies the smallest open limit and restores the "
+            "pre-scope state only when the last scope exits, so "
+            "overlapping scopes on different threads (engines, pipeline "
+            "stages) never restore a sibling's limit. The measured-count "
+            "cache takes its own lock. Forked children reset the ledger."
         ),
     },
     {

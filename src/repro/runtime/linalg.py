@@ -108,6 +108,11 @@ def axpy_into(
 
 
 def dot_self(x: np.ndarray) -> float:
-    """Σ x² as a single BLAS ddot pass (Frobenius-norm² without a temp)."""
+    """Σ x² in a single pass without a temporary (Frobenius norm²).
+
+    NumPy's own sum-of-products loop rather than BLAS ``ddot``: a threaded
+    ``ddot`` splits the sum by thread count, which changes the last bit
+    of a loss when the BLAS budget changes.
+    """
     flat = x.ravel()
-    return float(np.dot(flat, flat))
+    return float(np.einsum("i,i->", flat, flat))

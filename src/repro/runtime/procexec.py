@@ -22,9 +22,11 @@ update, carried across process boundaries):
 
 * **Slot-bound workers** — shard *i* always runs on worker process *i*
   with a worker-private :class:`~repro.runtime.workspace.Workspace` and a
-  BLAS budget from :func:`repro.runtime.threads.recommended_blas_threads`
-  (env vars are pinned around ``Process.start()`` so spawn children
-  configure their BLAS pools before NumPy loads).  The worker entry point
+  BLAS budget from :func:`repro.runtime.threads.recommended_blas_threads`,
+  held live for the worker's whole life (env vars are also pinned around
+  ``Process.start()`` so spawn children configure their BLAS pools before
+  NumPy loads).  The coordinator holds the same budget while the engine
+  is open: it reduces and applies while the workers compute.  The worker entry point
   is the module-level :func:`_worker_main`, so every start method
   (``fork``/``spawn``/``forkserver``) works.
 
@@ -48,9 +50,9 @@ update, carried across process boundaries):
   polling; never a hang), and :meth:`close` always unlinks every segment.
 
 :func:`make_engine` picks a backend (``"auto"``/``"thread"``/
-``"process"``/``"serial"``) from the core count, problem size, and — on
-free-threaded builds (PEP 703) — whether the GIL is actually enabled
-(see :mod:`repro.runtime.freethreading`).
+``"process"``/``"serial"``); ``"auto"`` returns an engine only when a
+cached probe measures it at least :data:`AUTO_MIN_SPEEDUP` faster than
+serial at the given problem size.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ import pickle
 import traceback
 import uuid
 from concurrent.futures import Future
-from contextlib import contextmanager
 from multiprocessing import shared_memory
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -76,10 +77,12 @@ from repro.runtime.executor import (
 )
 from repro.runtime.linalg import axpy_into
 from repro.runtime.threads import (
-    BLAS_ENV_VARS,
     available_cores,
+    median_wall_seconds,
     blas_thread_limit,
+    pinned_blas_env,
     recommended_blas_threads,
+    sweep_blas_threads,
 )
 from repro.runtime.workspace import Workspace
 from repro.testing.faults import fault_point
@@ -89,10 +92,19 @@ from repro.utils.rng import SeedLike, spawn_streams
 #: scans ``/dev/shm`` for it after each test).
 SHM_PREFIX = "repro-shm"
 
-#: ``make_engine("auto")`` stays serial below this many batch cells
-#: (examples × visible units): tiny problems are dominated by dispatch
-#: overhead on any backend.
-AUTO_SERIAL_CUTOFF = 1 << 15
+#: Speedup over serial an engine must show in the probe before
+#: ``make_engine("auto")`` returns it (the parallel bench's W=2 gate).
+AUTO_MIN_SPEEDUP = 1.3
+
+#: The probe's CD-1 layer: mini-batch rows, the visible units probed when
+#: ``make_engine`` is given no ``problem_size``, and the hidden-unit cap.
+PROBE_BATCH = 100
+PROBE_VISIBLE = 1024
+PROBE_HIDDEN = 512
+#: Larger problems are probed at this many batch cells, which bounds the
+#: probe's memory; dispatch costs shrink relative to compute as a problem
+#: grows, so the speedup measured here is a floor for theirs.
+PROBE_MAX_CELLS = 1 << 18
 
 
 class EngineError(ReproError):
@@ -209,15 +221,16 @@ def _handle(msg: dict, segments: List[np.ndarray], models: Dict[int, object],
 def _worker_main(index: int, conn, blas_threads: Optional[int], name: str) -> None:
     """Long-lived slot process: receive control messages until ``close``.
 
-    Replies are ``("ok", payload)`` or ``("err", pickled_exc, traceback)``
-    — exactly one reply per task message, so the pipes stay aligned even
-    through worker-side exceptions.
+    The worker holds its BLAS budget for its whole life.  Replies are
+    ``("ok", payload)`` or ``("err", pickled_exc, traceback)`` — exactly
+    one reply per task message, so the pipes stay aligned even through
+    worker-side exceptions.
     """
-    if blas_threads is not None:
-        try:
-            blas_thread_limit(blas_threads).__enter__()
-        except Exception:  # pragma: no cover - budget is best-effort
-            pass
+    with blas_thread_limit(blas_threads):
+        _serve(index, conn, name)
+
+
+def _serve(index: int, conn, name: str) -> None:
     ws = Workspace(name=f"{name}.worker{index}")
     segments: List[np.ndarray] = []
     shms: List[shared_memory.SharedMemory] = []
@@ -330,33 +343,6 @@ class _ModelEntry:
         self.params = params  # [(path, segment_index, coordinator_view)]
 
 
-@contextmanager
-def _pinned_blas_env(limit: Optional[int]):
-    """Pin the BLAS env knobs while spawning workers (restored after).
-
-    Spawn-method children import NumPy fresh, so the variables must be in
-    the environment *before* ``Process.start()``; fork children inherit
-    the parent's already-initialised pools and rely on the worker-side
-    :func:`blas_thread_limit` (a no-op without threadpoolctl — pin the
-    env before the first ``import numpy``, as ``benchmarks/`` does, to
-    cover that case).
-    """
-    if limit is None:
-        yield
-        return
-    saved = {var: os.environ.get(var) for var in BLAS_ENV_VARS}
-    for var in BLAS_ENV_VARS:
-        os.environ[var] = str(int(limit))
-    try:
-        yield
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-
-
 class ProcessGradientEngine:
     """Data-parallel gradient execution across W slot-bound worker *processes*.
 
@@ -408,6 +394,7 @@ class ProcessGradientEngine:
                 if self.n_workers > 1 else None
             )
         self.blas_threads = blas_threads
+        budget = blas_thread_limit(blas_threads)
         if mp_context is None:
             mp_context = (
                 "fork" if "fork" in mp.get_all_start_methods() else "spawn"
@@ -424,9 +411,13 @@ class ProcessGradientEngine:
         self._procs: List = []
         self._conns: List = []
         self._known: List[int] = []  # per worker: descriptors already sent
+        self._models: Dict[int, _ModelEntry] = {}
         self._closed = False
         self._broken: Optional[str] = None
-        try:  # pragma: no branch
+        # The coordinator reduces and applies while the workers compute:
+        # it holds the same per-process budget, for the engine's life.
+        self._blas_guard = budget.__enter__()
+        try:
             # Start the resource tracker *before* the workers exist so
             # they inherit (fork) or receive (spawn) its fd and share it.
             # A worker that lazily starts its own tracker would warn about
@@ -437,9 +428,7 @@ class ProcessGradientEngine:
                 resource_tracker.ensure_running()
             except Exception:  # pragma: no cover - platform dependent
                 pass
-            with _pinned_blas_env(
-                self.blas_threads if isinstance(self.blas_threads, int) else None
-            ):
+            with pinned_blas_env(self.blas_threads):
                 for i in range(self.n_workers):
                     parent_conn, child_conn = ctx.Pipe()
                     proc = ctx.Process(
@@ -459,7 +448,6 @@ class ProcessGradientEngine:
         self._streams = spawn_streams(seed, self.n_workers)
         self._coord_ws = Workspace(name=f"{self.name}.coordinator")
         self._acc: Dict[Tuple, np.ndarray] = {}
-        self._models: Dict[int, _ModelEntry] = {}
         self._rr = 0
         self.n_steps = 0
 
@@ -489,6 +477,7 @@ class ProcessGradientEngine:
                 pass
         self._models.clear()
         self._arena.close()
+        self._blas_guard.__exit__(None, None, None)
 
     def __enter__(self) -> "ProcessGradientEngine":
         return self
@@ -978,6 +967,53 @@ def process_engine_available() -> bool:
     return _process_engine_probe
 
 
+def _probe_seconds(build: Callable[[], object],
+                   problem_size: Optional[int]) -> Tuple[float, float]:
+    """Wall seconds of one CD-1 step: serial, then on ``build()``'s engine.
+
+    The layer has ``problem_size`` batch cells (``PROBE_BATCH`` rows, at
+    most ``PROBE_MAX_CELLS`` cells).  The serial step runs at its measured
+    BLAS thread count, as the serial training path does; the engine runs
+    as built, holding its own budget, and is closed afterwards.
+    """
+    from repro.nn.rbm import RBM
+
+    cells = PROBE_BATCH * PROBE_VISIBLE if problem_size is None else int(problem_size)
+    cells = max(1, min(cells, PROBE_MAX_CELLS))
+    batch = min(PROBE_BATCH, cells)
+    n_visible = cells // batch
+    n_hidden = max(1, min(PROBE_HIDDEN, n_visible // 2))
+    v = np.random.default_rng(0).random((batch, n_visible))
+    lr = 1e-12  # parameters effectively frozen across the timed steps
+
+    rbm = RBM(n_visible, n_hidden, seed=0)
+    gen = np.random.default_rng(0)
+    ws = Workspace(name="auto-probe")
+
+    def serial_step() -> None:
+        stats = rbm.contrastive_divergence(v, rng=gen, workspace=ws)
+        rbm.apply_update(stats, lr, workspace=ws)
+
+    sweep = sweep_blas_threads(serial_step)
+    engine = build()
+    try:
+        twin = RBM(n_visible, n_hidden, seed=0)
+        engine_s = median_wall_seconds(lambda: engine.cd_step(twin, v, lr))
+    finally:
+        engine.close()
+    # Serial is timed on both sides of the engine and the faster side
+    # counts, so a burst of load from elsewhere during one serial timing
+    # cannot make the engine look faster than it is.
+    with blas_thread_limit(sweep.best_threads):
+        serial_s = min(sweep.best_seconds, median_wall_seconds(serial_step))
+    return serial_s, engine_s
+
+
+#: ``make_engine("auto")`` probe results, ``key -> speedup over serial``:
+#: one probe per process per backend, worker count, budget and size.
+_auto_speedups: Dict[Tuple, float] = {}
+
+
 def make_engine(
     mode: str = "auto",
     n_workers: Optional[int] = None,
@@ -994,12 +1030,15 @@ def make_engine(
     * ``"serial"`` — ``None`` (callers treat a missing engine as serial);
     * ``"thread"`` — :class:`~repro.runtime.executor.ParallelGradientEngine`;
     * ``"process"`` — :class:`ProcessGradientEngine`;
-    * ``"auto"`` — serial when fewer than 2 usable cores or fewer than 2
-      workers would run, or when ``problem_size`` (batch × visible cells
-      per update) is below :data:`AUTO_SERIAL_CUTOFF`; otherwise threads
-      on free-threaded builds with the GIL off (real parallelism, zero
-      IPC — see :mod:`repro.runtime.freethreading`), else processes where
-      shared memory works, else threads.
+    * ``"auto"`` — the candidate backend is threads on free-threaded
+      builds with the GIL off (real parallelism, zero IPC — see
+      :mod:`repro.runtime.freethreading`), else processes where shared
+      memory works, else threads.  It is returned only when a probe —
+      one CD-1 step of ``problem_size`` batch cells (batch × visible
+      units), timed on the candidate as built against the serial step —
+      shows at least :data:`AUTO_MIN_SPEEDUP` twice; otherwise, and with
+      fewer than 2 usable cores or workers, ``None``.  The probe runs once
+      per process per configuration and is cached.
     """
     mode = str(mode).lower()
     if mode not in ("auto", "thread", "process", "serial"):
@@ -1025,17 +1064,29 @@ def make_engine(
     workers = cores if n_workers is None else int(n_workers)
     if cores < 2 or workers < 2:
         return None
-    if problem_size is not None and problem_size < AUTO_SERIAL_CUTOFF:
+    if gil_enabled() and process_engine_available():
+        backend = "process"
+    else:
+        backend = "thread"
+
+    def build(label: str):
+        return make_engine(backend, n_workers=workers, blas_threads=blas_threads,
+                           seed=seed, name=label, **kwargs)
+
+    def probe() -> float:
+        serial_s, engine_s = _probe_seconds(lambda: build(f"{name}-probe"),
+                                            problem_size)
+        return serial_s / engine_s
+
+    key = (backend, workers, blas_threads, problem_size, tuple(sorted(kwargs.items())))
+    speedup = _auto_speedups.get(key)
+    if speedup is None:
+        speedup = probe()
+        if speedup >= AUTO_MIN_SPEEDUP:
+            # A win is measured twice and the lower speedup counts: one
+            # noisy probe must not buy an engine slower than serial.
+            speedup = min(speedup, probe())
+        _auto_speedups[key] = speedup
+    if speedup < AUTO_MIN_SPEEDUP:
         return None
-    if not gil_enabled():
-        return ParallelGradientEngine(
-            n_workers=workers, blas_threads=blas_threads, seed=seed, name=name
-        )
-    if process_engine_available():
-        return ProcessGradientEngine(
-            n_workers=workers, blas_threads=blas_threads, seed=seed,
-            name=name, **kwargs,
-        )
-    return ParallelGradientEngine(
-        n_workers=workers, blas_threads=blas_threads, seed=seed, name=name
-    )
+    return build(name)

@@ -37,7 +37,10 @@ class LatencyHistogram:
             10.0 ** (_LO_EXP + i / _BUCKETS_PER_DECADE) for i in range(n + 1)
         ]
         self._counts = [0] * (n + 2)  # + underflow and overflow buckets
-        self._samples: List[float] = []
+        self._samples: List[float] = []  # in arrival order
+        # The samples in ascending order, brought up to date lazily: a
+        # percentile after k new samples merges k, it does not re-sort n.
+        self._sorted: List[float] = []
 
     def record(self, seconds: float) -> None:
         if seconds < 0:
@@ -77,7 +80,11 @@ class LatencyHistogram:
             raise ConfigurationError(f"percentile must lie in [0, 100], got {q}")
         if not self._samples:
             return 0.0
-        ordered = sorted(self._samples)
+        ordered = self._sorted
+        if len(ordered) < len(self._samples):
+            # Timsort merges the sorted prefix and the new run in O(n + k log k).
+            ordered.extend(self._samples[len(ordered):])
+            ordered.sort()
         rank = max(1, math.ceil(q / 100.0 * len(ordered)))
         return ordered[rank - 1]
 

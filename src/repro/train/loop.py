@@ -17,7 +17,9 @@ loop events).  The loop owns:
   wall timing (load / compute / reduce / apply) feeding the callback
   surface (:mod:`repro.train.callbacks`);
 * checkpoint hooks and the replayable :class:`EventLog` that makes a
-  resumed run's recorded history equal an uninterrupted run's.
+  resumed run's recorded history equal an uninterrupted run's;
+* the serial path's BLAS thread budget: a count measured on a twin of
+  the step (:meth:`TrainStep.blas_twin`), held while the run trains.
 
 Models plug in through a :class:`TrainStep` adapter that supplies the
 per-model kernels (gradient compute, parameter apply, engine variants,
@@ -35,13 +37,16 @@ is bit-identical to unchunked iteration.
 
 from __future__ import annotations
 
+import copy
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Hashable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.runtime.threads import blas_thread_limit, measured_blas_threads
 from repro.train.batches import batch_bounds, epoch_order
 from repro.train.callbacks import CallbackList, as_callback_list
 from repro.train.events import EpochEvent, LayerEvent, PhaseTimings, UpdateEvent
@@ -99,6 +104,23 @@ class TrainStep:
             f"{self.kind} step has no parallel-engine kernels"
         )
 
+    # -- measured BLAS thread count (serial path) --------------------------
+    def blas_twin(self) -> Optional["TrainStep"]:
+        """A disposable copy whose ``compute``/``apply`` the loop may time.
+
+        The serial path trains at the BLAS thread count that runs this
+        step fastest, measured once per process per :meth:`shape_key` on
+        a twin, so the real model, RNG and workspace are untouched (see
+        :func:`twin_of`).  ``None``, the default, opts out: the pool is
+        left as it is.
+        """
+        return None
+
+    def shape_key(self, batch) -> Hashable:
+        """The key the measured thread count is cached under."""
+        parts = batch if isinstance(batch, tuple) else (batch,)
+        return (type(self).__qualname__,) + tuple(p.shape for p in parts)
+
     # -- clock + metric --------------------------------------------------
     def charge(self, n_rows: int) -> float:
         """Simulated seconds for one update (0.0 outside :mod:`repro.core`)."""
@@ -116,6 +138,19 @@ class TrainStep:
         for value in epoch_losses:
             total += value
         return total / len(epoch_losses)
+
+
+def twin_of(step: TrainStep, shared: Sequence[np.ndarray], workspace) -> TrainStep:
+    """A deep copy of ``step`` for :meth:`TrainStep.blas_twin`.
+
+    The ``shared`` arrays (read-only training data) are not copied, and
+    the twin gets an empty workspace in place of ``workspace``.
+    """
+    from repro.runtime.workspace import Workspace
+
+    memo = {id(a): a for a in shared}
+    memo[id(workspace)] = Workspace(name=f"{workspace.name}.twin")
+    return copy.deepcopy(step, memo)
 
 
 @dataclass(frozen=True)
@@ -271,6 +306,7 @@ class TrainLoop:
         self.step_count = 0
         self.simulated_seconds = 0.0
         self.timings = PhaseTimings()  # cumulative per-phase wall seconds
+        self._pending_budget: Optional[ExitStack] = None
 
     # ------------------------------------------------------------------
     # resume plumbing
@@ -319,24 +355,29 @@ class TrainLoop:
             )
         metrics = metrics if metrics is not None else []
         n = step.n_examples()
-        for epoch in range(start_epoch, epochs):
-            if self.monitor.stop_requested:
-                # e.g. a replayed EarlyStopping already asked to stop.
-                break
-            losses: List[float] = []
-            if chunks is None:
-                self._plain_epoch(step, epoch, n, batch_size, rng, losses)
-            else:
-                self._chunked_epoch(step, epoch, n, batch_size, rng, chunks, losses)
-            metric = float(step.epoch_metric(losses))
-            metrics.append(metric)
-            event = EpochEvent(epoch, metric, self.simulated_seconds)
-            self.log.add(event)
-            self.monitor.on_epoch(event)
-            if epoch_end is not None:
-                epoch_end(epoch + 1, metrics)
-            if self.monitor.stop_requested:
-                break
+        with ExitStack() as budget:
+            # The serial path takes its measured BLAS budget at the first
+            # update and holds it to the end of the call; an engine holds
+            # its own.
+            self._pending_budget = budget if self.engine is None else None
+            for epoch in range(start_epoch, epochs):
+                if self.monitor.stop_requested:
+                    # e.g. a replayed EarlyStopping already asked to stop.
+                    break
+                losses: List[float] = []
+                if chunks is None:
+                    self._plain_epoch(step, epoch, n, batch_size, rng, losses)
+                else:
+                    self._chunked_epoch(step, epoch, n, batch_size, rng, chunks, losses)
+                metric = float(step.epoch_metric(losses))
+                metrics.append(metric)
+                event = EpochEvent(epoch, metric, self.simulated_seconds)
+                self.log.add(event)
+                self.monitor.on_epoch(event)
+                if epoch_end is not None:
+                    epoch_end(epoch + 1, metrics)
+                if self.monitor.stop_requested:
+                    break
         return metrics
 
     def end_layer(self, layer: int, metric: float) -> LayerEvent:
@@ -380,7 +421,21 @@ class TrainLoop:
                     if self.monitor.stop_requested:
                         return
 
+    def _hold_blas_budget(self, step, batch) -> None:
+        budget, self._pending_budget = self._pending_budget, None
+
+        def make_run():
+            twin = step.blas_twin()
+            if twin is None:
+                return None
+            return lambda: twin.apply(twin.compute(batch)[1])
+
+        count = measured_blas_threads(step.shape_key(batch), make_run)
+        budget.enter_context(blas_thread_limit(count))
+
     def _one_update(self, step, epoch, batch, load_s: float) -> float:
+        if self._pending_budget is not None:
+            self._hold_blas_budget(step, batch)
         t0 = self._clock()
         if self.engine is not None:
             loss, state = step.engine_compute(self.engine, batch)

@@ -303,6 +303,12 @@ class _StageStep(TrainStep):
     def narrow(self, batch, lo: int, hi: int):
         return self.inner.narrow(batch, lo, hi)
 
+    def blas_twin(self) -> Optional[TrainStep]:
+        return self.inner.blas_twin()
+
+    def shape_key(self, batch):
+        return self.inner.shape_key(batch)
+
     # -- kernels ---------------------------------------------------------
     def compute(self, batch):
         return self.inner.compute(batch)

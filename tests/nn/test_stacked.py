@@ -115,3 +115,37 @@ class TestDeepBeliefNetwork:
         dbn = DeepBeliefNetwork(12, self._specs(), seed=0).pretrain(binary_batch)
         f = dbn.transform(binary_batch)
         assert (f >= 0).all() and (f <= 1).all()
+
+
+class TestBlasTwin:
+    """The loop times a block step's twin to choose the BLAS thread
+    count; the twin must leave the real block, RNG and workspace alone."""
+
+    @pytest.mark.parametrize("stack_cls", [StackedAutoencoder, DeepBeliefNetwork])
+    def test_twin_leaves_the_real_step_untouched(self, stack_cls):
+        from repro.runtime.workspace import Workspace
+
+        x = np.random.default_rng(0).random((20, 8))
+        stack = stack_cls(8, [LayerSpec(4, epochs=1, batch_size=5)], seed=0)
+        spec = stack.layer_specs[0]
+        block = stack._make_block(8, spec, np.random.default_rng(1))
+        rng = np.random.default_rng(2)
+        ws = Workspace(name="real")
+        step = stack._block_step(block, x, spec, rng, ws)
+        params = [p.copy() for p in vars(block).values() if isinstance(p, np.ndarray)]
+        rng_state = rng.bit_generator.state
+
+        twin = step.blas_twin()
+        assert twin.x is x  # the data is shared, not copied
+        assert twin.ws is not ws and twin.block is not block
+        for _ in range(3):
+            twin.apply(twin.compute(x[:5])[1])
+
+        now = [p for p in vars(block).values() if isinstance(p, np.ndarray)]
+        assert all(np.array_equal(a, b) for a, b in zip(params, now))
+        assert rng.bit_generator.state == rng_state
+        assert ws.misses == 0
+        assert step.shape_key(x[:5]) != stack._block_step(
+            stack._make_block(8, LayerSpec(3), np.random.default_rng(1)),
+            x, LayerSpec(3), rng, ws,
+        ).shape_key(x[:5])

@@ -51,6 +51,21 @@ class TestAutotuneThreads:
         assert [s.n_threads for s in result.samples] == [1, 2, 4]
         assert result.speedup_vs_worst == pytest.approx(4.0)
 
+    def test_tolerance_prefers_fewer_threads_within_the_margin(self):
+        times = {1: 1.05, 2: 1.0, 4: 0.8}
+        result = autotune_threads(
+            times.get, XEON_PHI_5110P, candidates=[1, 2], refine=False, tolerance=0.1
+        )
+        assert result.best_threads == 1  # 2 threads win by under 10 %
+        assert result.best_seconds == 1.05
+        result = autotune_threads(
+            times.get, XEON_PHI_5110P, candidates=[1, 2, 4], refine=False,
+            tolerance=0.1,
+        )
+        assert result.best_threads == 4  # a clear win still counts
+        with pytest.raises(ConfigurationError, match="tolerance"):
+            autotune_threads(times.get, XEON_PHI_5110P, candidates=[1], tolerance=-1)
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             autotune_threads(lambda t: 1.0, XEON_PHI_5110P, candidates=[])

@@ -367,21 +367,78 @@ class TestMakeEngine:
         with pytest.raises(ConfigurationError, match="mode"):
             make_engine("gpu")
 
+    @pytest.fixture(autouse=True)
+    def fresh_probes(self, monkeypatch):
+        from repro.runtime import procexec
+
+        monkeypatch.setattr(procexec, "_auto_speedups", {})
+
+    @staticmethod
+    def inject_probe(monkeypatch, serial_s, engine_s):
+        """Make every auto probe report these timings; returns the calls."""
+        from repro.runtime import procexec
+
+        calls = []
+
+        def probe(build, problem_size):
+            calls.append(problem_size)
+            return serial_s, engine_s
+
+        monkeypatch.setattr(procexec, "_probe_seconds", probe)
+        return calls
+
     def test_auto_is_serial_on_one_core(self, monkeypatch):
         from repro.runtime import procexec
 
+        calls = self.inject_probe(monkeypatch, 10.0, 1.0)
         monkeypatch.setattr(procexec, "available_cores", lambda: 1)
         assert make_engine("auto") is None
+        assert calls == []  # nothing to probe
 
-    def test_auto_is_serial_below_problem_cutoff(self, monkeypatch):
+    def test_auto_is_serial_below_the_probe_margin(self, monkeypatch):
         from repro.runtime import procexec
 
+        calls = self.inject_probe(monkeypatch, 1.29, 1.0)
         monkeypatch.setattr(procexec, "available_cores", lambda: 4)
-        assert make_engine("auto", problem_size=64) is None
+        assert make_engine("auto", n_workers=2, problem_size=64) is None
+        assert calls == [64]
+
+    def test_auto_returns_an_engine_at_the_margin(self, monkeypatch):
+        from repro.runtime import procexec
+
+        self.inject_probe(monkeypatch, procexec.AUTO_MIN_SPEEDUP, 1.0)
+        monkeypatch.setattr(procexec, "available_cores", lambda: 4)
+        eng = make_engine("auto", n_workers=2, blas_threads=None, problem_size=64)
+        try:
+            assert isinstance(eng, ProcessGradientEngine)
+        finally:
+            eng.close()
+
+    def test_auto_confirms_a_win_before_returning_an_engine(self, monkeypatch):
+        from repro.runtime import procexec
+
+        timings = iter([(2.0, 1.0), (1.2, 1.0)])  # a win, then not
+        monkeypatch.setattr(procexec, "_probe_seconds",
+                            lambda build, size: next(timings))
+        monkeypatch.setattr(procexec, "available_cores", lambda: 4)
+        assert make_engine("auto", n_workers=2, problem_size=64) is None
+        assert list(procexec._auto_speedups.values()) == [1.2]
+
+    def test_auto_probes_once_per_configuration(self, monkeypatch):
+        from repro.runtime import procexec
+
+        calls = self.inject_probe(monkeypatch, 1.0, 2.0)
+        monkeypatch.setattr(procexec, "available_cores", lambda: 4)
+        for _ in range(3):
+            assert make_engine("auto", n_workers=2, problem_size=4096) is None
+        assert make_engine("auto", n_workers=2, problem_size=8192) is None
+        assert make_engine("auto", n_workers=3, problem_size=8192) is None
+        assert calls == [4096, 8192, 8192]
 
     def test_auto_prefers_process_under_the_gil(self, monkeypatch):
         from repro.runtime import procexec
 
+        self.inject_probe(monkeypatch, 4.0, 1.0)
         monkeypatch.setattr(procexec, "available_cores", lambda: 4)
         eng = make_engine("auto", n_workers=2, blas_threads=None,
                           problem_size=1 << 20)
@@ -393,6 +450,7 @@ class TestMakeEngine:
     def test_auto_prefers_threads_without_the_gil(self, monkeypatch):
         from repro.runtime import freethreading, procexec
 
+        self.inject_probe(monkeypatch, 4.0, 1.0)
         monkeypatch.setattr(procexec, "available_cores", lambda: 4)
         monkeypatch.setattr(freethreading, "gil_enabled", lambda: False)
         eng = make_engine("auto", n_workers=2, blas_threads=None)
@@ -404,6 +462,7 @@ class TestMakeEngine:
     def test_auto_falls_back_to_threads_without_shared_memory(self, monkeypatch):
         from repro.runtime import procexec
 
+        self.inject_probe(monkeypatch, 4.0, 1.0)
         monkeypatch.setattr(procexec, "available_cores", lambda: 4)
         monkeypatch.setattr(procexec, "process_engine_available", lambda: False)
         eng = make_engine("auto", n_workers=2, blas_threads=None)
@@ -411,6 +470,22 @@ class TestMakeEngine:
             assert isinstance(eng, ParallelGradientEngine)
         finally:
             eng.close()
+
+    def test_auto_measured_probe_backs_every_engine_it_returns(self):
+        """Unpatched: the real probe times the engine against serial, and
+        an engine comes back only with the margin behind it."""
+        from repro.runtime import procexec
+
+        if procexec.available_cores() < 2:
+            pytest.skip("auto is serial on one core without probing")
+        eng = make_engine("auto", problem_size=100 * 128)
+        try:
+            (speedup,) = procexec._auto_speedups.values()
+            assert speedup > 0.0
+            assert (eng is not None) == (speedup >= procexec.AUTO_MIN_SPEEDUP)
+        finally:
+            if eng is not None:
+                eng.close()
 
 
 class TestWorkerInternals:
@@ -463,3 +538,80 @@ class TestWorkerInternals:
         loss = _handle(msg, segments, models, Workspace())
         assert abs(loss - loss_ref) <= TOL
         assert float(np.max(np.abs(out[0] - g_ref.w1))) <= TOL
+
+
+class _FakeConn:
+    """Pipe end for running ``_worker_main`` in-process."""
+
+    def __init__(self, messages):
+        self._messages = list(messages)
+        self.sent = []
+
+    def recv(self):
+        return self._messages.pop(0)
+
+    def send(self, reply):
+        self.sent.append(reply)
+
+
+class TestWorkerBudget:
+    def test_worker_holds_its_budget_until_close(self, monkeypatch):
+        from contextlib import contextmanager
+
+        from repro.runtime import procexec
+
+        events = []
+
+        @contextmanager
+        def recording_limit(limit):
+            events.append(("enter", limit))
+            try:
+                yield
+            finally:
+                events.append(("exit", limit))
+
+        def task():
+            # Runs between the two messages, long after the worker started.
+            events.append(("task",))
+            return len(events)
+
+        monkeypatch.setattr(procexec, "blas_thread_limit", recording_limit)
+        conn = _FakeConn([{"op": "call", "fn": task}, {"op": "close"}])
+        procexec._worker_main(0, conn, 1, "fake")
+        assert events == [("enter", 1), ("task",), ("exit", 1)]
+        assert conn.sent == [("ok", 2)]
+
+
+def _shm_segments():
+    import glob
+
+    from repro.runtime.procexec import SHM_PREFIX
+
+    return set(glob.glob(f"/dev/shm/{SHM_PREFIX}-*"))
+
+
+class TestStartFailure:
+    def test_failed_worker_start_raises_the_original_error(self, monkeypatch):
+        from multiprocessing.process import BaseProcess
+
+        from repro.runtime import threads
+
+        real_start = BaseProcess.start
+        starts = []
+
+        def flaky_start(proc):
+            starts.append(proc.name)
+            if len(starts) == 2:
+                raise RuntimeError("cannot start worker 1")
+            real_start(proc)
+
+        before = _shm_segments()
+        count = threads.current_blas_threads()
+        monkeypatch.setattr(BaseProcess, "start", flaky_start)
+        with pytest.raises(RuntimeError, match="cannot start worker 1"):
+            ProcessGradientEngine(n_workers=2, blas_threads=1, name="flaky")
+        monkeypatch.undo()
+        assert len(starts) == 2
+        assert _shm_segments() - before == set()
+        # the coordinator's budget was released with the failed engine
+        assert threads.current_blas_threads() == count

@@ -1,6 +1,10 @@
 """Tests for repro.serve.metrics — histograms and the metrics bundle."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.serve.metrics import LatencyHistogram, ServingMetrics
@@ -21,6 +25,23 @@ class TestLatencyHistogram:
         assert hist.percentile(95) == 10.0
         assert hist.percentile(100) == 10.0
         assert hist.percentile(0) == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e4), max_size=60),
+           st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=60))
+    def test_interleaved_percentiles_match_a_full_sort(self, samples, qs):
+        """Any interleaving of record and percentile returns exactly what
+        a fresh nearest-rank sort of every sample so far returns."""
+        hist = LatencyHistogram()
+        seen = []
+        for i, value in enumerate(samples):
+            hist.record(value)
+            seen.append(value)
+            for q in qs[i % 3::3]:
+                ordered = sorted(seen)
+                want = ordered[max(1, math.ceil(q / 100.0 * len(ordered))) - 1]
+                assert hist.percentile(q) == want
+        assert hist.total == sum(seen)
 
     def test_mean(self):
         hist = LatencyHistogram()

@@ -1,5 +1,7 @@
 """Unit tests for the unified TrainLoop runtime and its event log."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -247,3 +249,89 @@ class TestEventLog:
         assert all(isinstance(e, UpdateEvent) for e in loop.log.updates)
         assert all(isinstance(e, EpochEvent) for e in loop.log.epochs)
         assert all(isinstance(e, LayerEvent) for e in loop.log.layers)
+
+
+class TestMeasuredBlasBudget:
+    """The serial path trains at a measured BLAS thread count, held for
+    the run only; the engine path leaves the pool to the engine."""
+
+    @pytest.fixture(autouse=True)
+    def live_pool(self, monkeypatch):
+        from repro.runtime import threads
+
+        if not threads.live_blas_budget() or threads.available_cores() < 2:
+            pytest.skip("needs a live BLAS pool and two cores")
+        monkeypatch.setattr(threads, "_MEASURED", {})
+        return threads
+
+    class _CountingStep(_MeanStep):
+        """Records the live count at each update; its twin is fastest at
+        one thread, so one thread is what the loop must measure."""
+
+        def __init__(self, x, twin_ok=True):
+            super().__init__(x)
+            self.counts = []
+            self.twins = 0
+            self.twin_ok = twin_ok
+
+        def compute(self, batch):
+            from repro.runtime.threads import current_blas_threads
+
+            self.counts.append(current_blas_threads())
+            return super().compute(batch)
+
+        def blas_twin(self):
+            if not self.twin_ok:
+                return None
+            self.twins += 1
+            return _SleepyTwin()
+
+    def test_serial_run_holds_the_measured_count(self, live_pool):
+        before = live_pool.current_blas_threads()
+        step = self._CountingStep(_data())
+        TrainLoop().run_epochs(step, epochs=2, batch_size=8,
+                               rng=np.random.default_rng(0))
+        assert step.counts == [1] * 6
+        assert live_pool.current_blas_threads() == before
+        again = self._CountingStep(_data())
+        TrainLoop().run_epochs(again, epochs=1, batch_size=8,
+                               rng=np.random.default_rng(0))
+        assert again.counts == [1] * 3
+        assert again.twins == 0  # measured once per process per shape
+
+    def test_step_without_twin_keeps_the_pool(self, live_pool):
+        before = live_pool.current_blas_threads()
+        step = self._CountingStep(_data(), twin_ok=False)
+        TrainLoop().run_epochs(step, epochs=1, batch_size=8,
+                               rng=np.random.default_rng(0))
+        assert step.counts == [before] * 3
+
+    def test_engine_path_is_not_budgeted_by_the_loop(self, live_pool):
+        before = live_pool.current_blas_threads()
+        counts = []
+
+        class _EngineStep(self._CountingStep):
+            def engine_compute(self, engine, batch):
+                counts.append(live_pool.current_blas_threads())
+                return self.compute(batch)
+
+            def engine_apply(self, engine, state):
+                self.apply(state)
+
+        step = _EngineStep(_data())
+        TrainLoop(engine=object()).run_epochs(
+            step, epochs=1, batch_size=8, rng=np.random.default_rng(0)
+        )
+        assert counts == [before] * 3
+        assert step.twins == 0
+
+
+class _SleepyTwin(TrainStep):
+    def compute(self, batch):
+        from repro.runtime.threads import current_blas_threads
+
+        time.sleep(0.001 if current_blas_threads() == 1 else 0.005)
+        return 0.0, None
+
+    def apply(self, state):
+        pass
